@@ -99,8 +99,8 @@ def run_fleet_scale() -> Dict[str, float]:
     """One sharded city day at 10^5 households; deterministic counters.
 
     Runs the multi-provider policy (the heavier of the two onload
-    policies: every sector grants, so caps actually burn) in-process
-    (``jobs=1``) over the default shard partition. The returned
+    policies: every sector grants, so caps actually burn) over the
+    default shard partition. The returned
     integer-byte totals are covered by the deterministic-merge contract
     (``docs/FLEET.md``), so any drift means the workload itself changed
     and timings are not comparable.

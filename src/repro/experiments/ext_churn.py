@@ -36,11 +36,11 @@ from repro.core.scheduler import (
     make_policy,
 )
 from repro.core.scheduler.runner import TransactionResult
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.faults import FaultSchedule, PathFlapProcess, RadioDropProcess
 from repro.netsim.path import NetworkPath
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
 from repro.web.hls import make_bipbop_video

@@ -16,11 +16,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.fluid import Flow
 from repro.netsim.link import Link
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.util.units import MB, mbps, rate_to_mbps
 from repro.web.hls import make_bipbop_video

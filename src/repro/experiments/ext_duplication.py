@@ -19,7 +19,6 @@ from typing import Dict, Sequence
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner
 from repro.core.scheduler.greedy import GreedyPolicy
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.latency import RttModel
@@ -27,6 +26,7 @@ from repro.netsim.link import Link, PiecewiseLink
 from repro.netsim.path import NetworkPath
 from repro.netsim.topology import Household, HouseholdConfig
 from repro.experiments.fig06_scheduler import TESTBED_LOCATION
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.util.units import MB, bytes_to_megabytes, kbps, mbps
 from repro.web.hls import make_bipbop_video

@@ -21,8 +21,7 @@ adoption and measures, per policy,
 The adsl-only baseline is adoption-independent, so it runs once and is
 shared across the whole ramp. Everything derives from one seed through
 the deterministic-merge contract (``docs/FLEET.md``): the rendered
-report and its digest are byte-identical at any ``--jobs`` and any
-shard count.
+report and its digest are byte-identical at any shard count.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.fleet.dispatcher import (
     DEFAULT_SHARDS,
@@ -41,6 +39,7 @@ from repro.fleet.dispatcher import (
 )
 from repro.fleet.population import FleetParameters
 from repro.fleet.report import FleetReport
+from repro.util.formatting import fmt, render_table
 from repro.util.units import GB, mbps
 
 #: The DSLAM backhaul for the stressed city: 128 households x 3 Mbps
@@ -158,7 +157,6 @@ def run(
     households_per_dslam: int = 512,
     households_per_sector: int = 500,
     backhaul_mbps: float = DEFAULT_BACKHAUL_MBPS,
-    jobs: int = 1,
     n_shards: int = DEFAULT_SHARDS,
 ) -> FleetSweepResult:
     """Run the adoption ramp; the baseline is shared across the grid."""
@@ -169,16 +167,14 @@ def run(
         households_per_sector=households_per_sector,
         dslam_backhaul_bps=mbps(backhaul_mbps),
     )
-    baseline = run_policy(
-        params, "adsl-only", 0.0, jobs=jobs, n_shards=n_shards
-    )
+    baseline = run_policy(params, "adsl-only", 0.0, n_shards=n_shards)
     reports = []
     findings = []
     for adoption in adoptions:
         runs: Dict[str, PolicyRun] = {"adsl-only": baseline}
         for policy in ("multi-provider", "network-integrated"):
             runs[policy] = run_policy(
-                params, policy, adoption, jobs=jobs, n_shards=n_shards
+                params, policy, adoption, n_shards=n_shards
             )
         outcome = FleetOutcome(
             params=params, adoption=adoption, runs=runs

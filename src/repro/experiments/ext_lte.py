@@ -18,7 +18,6 @@ from typing import Dict, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.cellular import (
     HspaParameters,
@@ -27,6 +26,7 @@ from repro.netsim.cellular import (
 )
 from repro.netsim.radio import RrcParameters
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
 from repro.web.hls import make_bipbop_video

@@ -26,9 +26,9 @@ from repro.core.scheduler import SchedulingPolicy, TransactionRunner
 from repro.core.scheduler.greedy import GreedyPolicy
 from repro.core.scheduler.mintime import MinTimePolicy
 from repro.experiments.fig06_scheduler import TESTBED_LOCATION
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import Household, HouseholdConfig
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
 from repro.web.hls import make_bipbop_video

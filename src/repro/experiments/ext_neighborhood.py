@@ -15,10 +15,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.items import Transaction, TransferItem
 from repro.core.scheduler import TransactionRunner, make_policy
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.neighborhood import Neighborhood
 from repro.netsim.topology import LocationProfile
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.util.units import mbps
 from repro.web.hls import make_bipbop_video

@@ -21,9 +21,9 @@ from repro.core.items import Transaction, TransferItem
 from repro.core.playback import PlayoutSimulator, completion_times_from_result
 from repro.core.scheduler import TransactionRunner, make_policy
 from repro.core.scheduler.deadline import attach_deadlines
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.util.units import kbps, mbps
 from repro.web.hls import VideoAsset, VideoQuality

@@ -15,11 +15,11 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.diurnal import MOBILE_PROFILE
 from repro.traces.dslam import generate_dslam_trace
 from repro.traces.webtraffic import hourly_volume_series, normalized
+from repro.util.formatting import fmt, render_table
 from repro.util.units import GB
 
 

@@ -16,10 +16,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.formatting import fmt_mbps, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.formatting import fmt_mbps, render_table
 
 DEFAULT_DEVICE_COUNTS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 

@@ -14,10 +14,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.formatting import fmt_mbps, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.formatting import fmt_mbps, render_table
 
 DEFAULT_GROUP_SIZES: Tuple[int, ...] = (1, 3, 5)
 DEFAULT_HOURS: Tuple[float, ...] = tuple(range(0, 24, 2))

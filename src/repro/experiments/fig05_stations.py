@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.analysis.stats import ViolinSummary, summarize_violin
-from repro.experiments.formatting import fmt_mbps, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.cellular import HspaParameters
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.formatting import fmt_mbps, render_table
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.proxy import VideoDownloadReport
 from repro.experiments import wild
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 from repro.web.hls import HlsPlaylist
 

@@ -16,9 +16,9 @@ from typing import Dict, Sequence, Tuple
 from repro.analysis.stats import reduction_percent
 from repro.experiments import wild
 from repro.experiments.fig07_prebuffer import CONFIGS, QUALITIES, config_label
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 
 

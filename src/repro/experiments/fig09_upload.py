@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.experiments import wild
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
 from repro.traces.pictures import generate_photo_set
+from repro.util.formatting import fmt, render_table
 from repro.util.stats import RunningStats
 
 PHONE_COUNTS: Tuple[int, ...] = (0, 1, 2)  # 0 = ADSL alone

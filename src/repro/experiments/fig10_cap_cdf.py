@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.analysis.stats import Ecdf
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.traces.mno import generate_mno_dataset
+from repro.util.formatting import fmt, render_table
 from repro.util.units import bytes_to_megabytes
 
 

@@ -15,9 +15,9 @@ from repro.analysis.load import (
     per_user_speedups,
 )
 from repro.analysis.stats import Ecdf
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.traces.dslam import generate_dslam_trace
+from repro.util.formatting import fmt, render_table
 
 
 @dataclass(frozen=True)

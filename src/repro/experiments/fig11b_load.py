@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.load import OnloadLoadSeries, onloaded_load_series
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.traces.dslam import generate_dslam_trace
+from repro.util.formatting import fmt, render_table
 from repro.util.units import bits_to_bytes, bytes_to_megabytes, rate_to_mbps
 
 

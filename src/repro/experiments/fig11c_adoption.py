@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.analysis.load import AdoptionImpact, adoption_traffic_increase
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.traces.mno import generate_mno_dataset
+from repro.util.formatting import fmt, render_table
 
 DEFAULT_ADOPTION_GRID: Tuple[float, ...] = tuple(
     round(0.1 * i, 1) for i in range(0, 11)

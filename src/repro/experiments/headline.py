@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments import fig07_prebuffer, fig08_download, fig09_upload
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
+from repro.util.formatting import fmt, render_table
 
 
 @dataclass(frozen=True)

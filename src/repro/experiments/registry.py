@@ -174,7 +174,7 @@ def register(spec: ExperimentSpec) -> None:
 #: Modules under repro.experiments that are infrastructure, not
 #: experiments.
 _NON_EXPERIMENT_MODULES = frozenset(
-    {"catalogue", "formatting", "registry", "report", "runner", "wild"}
+    {"catalogue", "registry", "report", "runner", "wild"}
 )
 
 _discovered = False

@@ -64,9 +64,7 @@ def source_digest() -> str:
     """Digest of every ``repro/**/*.py`` source file (cached)."""
     global _source_digest
     if _source_digest is None:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
+        root = Path(__file__).resolve().parent.parent
         digest = hashlib.sha256()
         for path in sorted(root.rglob("*.py")):
             digest.update(str(path.relative_to(root)).encode())

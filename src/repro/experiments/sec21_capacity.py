@@ -15,8 +15,8 @@ from repro.analysis.capacity import (
     CellAreaAssumptions,
     compare_capacity,
 )
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
+from repro.util.formatting import fmt, render_table
 from repro.util.units import rate_to_gbps, rate_to_mbps
 
 

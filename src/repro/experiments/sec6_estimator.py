@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.core.allowance import EstimatorEvaluation, evaluate_estimator
-from repro.experiments.formatting import fmt, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.traces.mno import generate_mno_dataset
+from repro.util.formatting import fmt, render_table
 
 DEFAULT_ALPHAS: Tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 6.0)
 PAPER_TAU = 5

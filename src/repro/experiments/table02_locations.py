@@ -14,10 +14,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.formatting import fmt, fmt_mbps, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.formatting import fmt, fmt_mbps, render_table
 
 #: The paper uses three devices for this table.
 DEVICES = 3

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.experiments.formatting import fmt_mbps, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.topology import MEASUREMENT_LOCATIONS, LocationProfile
 from repro.traces.handsets import measure_cluster_throughput
+from repro.util.formatting import fmt_mbps, render_table
 from repro.util.stats import RunningStats
 
 DEFAULT_CLUSTER_SIZES: Tuple[int, ...] = (1, 3, 5)

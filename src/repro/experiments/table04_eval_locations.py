@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.experiments.formatting import fmt_mbps, render_table
 from repro.experiments.registry import experiment, jsonable
 from repro.netsim.cellular import dbm_to_asu
 from repro.netsim.fluid import Flow
@@ -21,6 +20,7 @@ from repro.netsim.topology import (
     HouseholdConfig,
     LocationProfile,
 )
+from repro.util.formatting import fmt_mbps, render_table
 from repro.util.units import MB, transfer_rate
 
 

@@ -19,34 +19,12 @@ from typing import Sequence
 
 from repro.core.mobile import OperatingMode
 from repro.core.session import OnloadSession
-from repro.netsim.topology import (
-    EVALUATION_LOCATIONS,
-    HouseholdConfig,
-    LocationProfile,
-)
+from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
+from repro.pilot.simulation import wild_config
 from repro.util.rng import RngFactory
-from repro.util.units import mbps
 
-#: rwnd/RTT cap of one TCP connection to the (distant) origin server
-#: (~56 KB window over ~150 ms).
-WIRED_FLOW_CAP_BPS = mbps(3.0)
-#: The 3G proxy path is also a single TCP connection; HSPA RTTs are higher
-#: but the radio link is the tighter constraint, so the cap rarely binds.
-CELLULAR_FLOW_CAP_BPS = mbps(3.0)
 #: §5.2 runs start "around 9.00 am" on weekdays.
 EVAL_START_HOUR = 9.0
-
-
-def wild_config(
-    n_phones: int, seed: int, connected_start: bool = False
-) -> HouseholdConfig:
-    """Household configuration of the wild evaluation."""
-    return HouseholdConfig(
-        n_phones=n_phones,
-        wired_flow_cap_bps=WIRED_FLOW_CAP_BPS,
-        cellular_flow_cap_bps=CELLULAR_FLOW_CAP_BPS,
-        seed=seed,
-    )
 
 
 def make_session(

@@ -5,12 +5,11 @@ The packages below this one simulate a handful of households in detail;
 "millions of users"). A :class:`~repro.fleet.population.Population`
 samples households — DSLAM attachment, cell-sector attachment, adoption
 flag, a demand mix drawn from the DSLAM trace model — from one seed; a
-dispatcher / shard-worker / measurer decomposition partitions them by
-cell sector across worker processes, advances each shard in vectorized
-rounds on the discrete-event engine's clock, and resolves cross-shard
-coupling (DSLAM backhaul spanning shards, the global permit server) by
-a bounded fixed-point exchange between rounds. Shard results merge
-deterministically: reports are byte-identical at any ``--jobs`` and any
+dispatcher / shard / measurer decomposition partitions them by cell
+sector, advances each shard in vectorized rounds, and resolves
+cross-shard coupling (DSLAM backhaul spanning shards, the global permit
+server) by a bounded fixed-point exchange within each round. Shard
+results merge deterministically: reports are byte-identical at any
 shard count (see ``docs/FLEET.md`` for the contract).
 """
 

@@ -1,26 +1,20 @@
-"""The fleet dispatcher: engine-clocked rounds, verdicts, merge.
+"""The fleet dispatcher: the round loop, verdicts, merge.
 
-The dispatcher owns the only :class:`~repro.netsim.engine.SimulationEngine`
-in a fleet run. It schedules one timer per simulation round; each timer
-drives the three-leg exchange with the shard workers
-(:mod:`repro.fleet.shard`), computes the global verdicts in between —
-the onload verdict (sector pools, permit-server admission) and the ADSL
-verdict (relieved per-DSLAM demand totals) — and folds every shard's
-integer aggregates into the run's round ledger. With ``jobs > 1`` the
-shard legs fan out over a fork-context :class:`ProcessPoolExecutor`;
-with ``jobs = 1`` the same pure functions run in-process. Either way the
-merge consumes only integer aggregates and id-indexed arrays, so the
-outcome is byte-identical at any ``--jobs`` and any shard count
+The dispatcher steps the day one round at a time. Each round drives the
+three-leg exchange with the shards (:mod:`repro.fleet.shard`), computes
+the global verdicts in between — the onload verdict (sector pools,
+permit-server admission) and the ADSL verdict (relieved per-DSLAM
+demand totals) — and folds every shard's integer aggregates into the
+run's round ledger. The shards are a logical partition run in one
+process; the merge consumes only integer aggregates and id-indexed
+arrays, so the outcome is byte-identical at any shard count
 (``docs/FLEET.md``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.context
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,7 +37,6 @@ from repro.fleet.shard import (
     shard_population,
 )
 from repro.netsim.diurnal import MOBILE_PROFILE
-from repro.netsim.engine import SimulationEngine
 from repro.obs.capture import current as obs_current
 
 __all__ = [
@@ -129,10 +122,9 @@ class FleetOutcome:
 
 
 # ----------------------------------------------------------------------
-# Worker-side leg wrappers (module-level, picklable). Each wrapper
-# rebuilds the shard's population slice from the seed via the
-# per-process cache and returns the mutated state alongside the leg's
-# aggregates — state travels explicitly, never through globals.
+# Shard leg wrappers. Each one looks up the shard's population slice in
+# the per-process cache, runs the leg on the shard's state in place and
+# returns only the leg's aggregates.
 # ----------------------------------------------------------------------
 
 
@@ -145,12 +137,9 @@ def _leg_offer(
     adoption: float,
     onload_enabled: bool,
     est_factor: NDArray[np.float64],
-) -> Tuple[Offers, ShardState]:
+) -> Offers:
     pop = shard_population(params, n_shards, shard)
-    offers = offer(
-        pop, state, round_index, adoption, onload_enabled, est_factor
-    )
-    return offers, state
+    return offer(pop, state, round_index, adoption, onload_enabled, est_factor)
 
 
 def _leg_settle(
@@ -159,10 +148,9 @@ def _leg_settle(
     shard: int,
     state: ShardState,
     verdict: OnloadVerdict,
-) -> Tuple[OnloadResult, ShardState]:
+) -> OnloadResult:
     pop = shard_population(params, n_shards, shard)
-    result = settle_onload(pop, state, verdict)
-    return result, state
+    return settle_onload(pop, state, verdict)
 
 
 def _leg_finish(
@@ -172,10 +160,9 @@ def _leg_finish(
     state: ShardState,
     round_index: int,
     verdict: AdslVerdict,
-) -> Tuple[RoundAggregates, ShardState]:
+) -> RoundAggregates:
     pop = shard_population(params, n_shards, shard)
-    aggregates = finish_round(pop, state, round_index, verdict)
-    return aggregates, state
+    return finish_round(pop, state, round_index, verdict)
 
 
 def _leg_initial(
@@ -193,51 +180,21 @@ def _leg_final(
     return shard_final(shard_population(params, n_shards, shard), state)
 
 
-def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
-    """Fork when available so worker caches inherit imported modules."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX platforms
-        return None
-
-
 class _Exchange:
-    """Runs a leg across every shard, in-process or over a pool."""
+    """Runs one leg on every shard of the partition."""
 
-    def __init__(
-        self, params: FleetParameters, n_shards: int, jobs: int
-    ) -> None:
+    def __init__(self, params: FleetParameters, n_shards: int) -> None:
         self.params = params
         self.n_shards = n_shards
-        self.pool: Optional[ProcessPoolExecutor] = None
-        if jobs > 1 and n_shards > 1:
-            self.pool = ProcessPoolExecutor(
-                max_workers=min(jobs, n_shards),
-                mp_context=_pool_context(),
-            )
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
 
     def map(
         self, fn: Callable[..., Any], per_shard_args: Sequence[Tuple[Any, ...]]
     ) -> List[Any]:
-        """Apply ``fn(params, n_shards, shard, *args)`` per shard.
-
-        Results come back in shard order regardless of completion
-        order — the merge is over exact integers so this is belt and
-        braces, not a correctness requirement.
-        """
-        calls = [
-            (self.params, self.n_shards, shard, *per_shard_args[shard])
-            for shard in range(self.n_shards)
+        """``fn(params, n_shards, shard, *args)`` per shard, in shard order."""
+        return [
+            fn(self.params, self.n_shards, shard, *args)
+            for shard, args in enumerate(per_shard_args)
         ]
-        if self.pool is None:
-            return [fn(*call) for call in calls]
-        futures = [self.pool.submit(fn, *call) for call in calls]
-        return [future.result() for future in futures]
 
 
 def _background_bytes(
@@ -327,14 +284,12 @@ def run_policy(
     params: FleetParameters,
     policy: str,
     adoption: float,
-    jobs: int = 1,
     n_shards: int = DEFAULT_SHARDS,
 ) -> PolicyRun:
     """Simulate one policy's city day and merge the shards.
 
-    The round loop runs on a :class:`SimulationEngine`: one timer per
-    round at the round's start time, advanced boundary by boundary, so
-    fleet trace events carry real engine clock times.
+    Round ``r`` starts at ``r * params.round_s``; that is the time the
+    round's ``fleet.round`` trace event carries.
     """
     if policy not in POLICIES:
         raise ValueError(
@@ -347,158 +302,127 @@ def run_policy(
     population = sample_population(params)
     obs = obs_current()
 
-    exchange = _Exchange(params, n_shards, jobs)
-    try:
-        states: List[ShardState] = exchange.map(
-            _leg_initial, [() for _ in range(n_shards)]
+    exchange = _Exchange(params, n_shards)
+    states: List[ShardState] = exchange.map(
+        _leg_initial, [() for _ in range(n_shards)]
+    )
+
+    n_rounds = params.n_rounds
+    n_sectors = params.n_sectors
+    est_factor = np.ones(params.n_dslams, dtype=np.float64)
+    round_arrivals: List[int] = []
+    round_adsl: List[int] = []
+    round_onload: List[int] = []
+    round_waste: List[int] = []
+    round_backlog: List[int] = []
+    sector_util = np.zeros((n_rounds, n_sectors), dtype=np.float64)
+    permit_ledger: Dict[str, int] = {
+        "requests": 0,
+        "grants": 0,
+        DENY_CAPACITY: 0,
+        DENY_THRESHOLD: 0,
+    }
+    cap_exhaustions = 0
+
+    for round_index in range(n_rounds):
+        now = round_index * params.round_s
+        # Leg A: arrivals + offers.
+        offers: List[Offers] = exchange.map(
+            _leg_offer,
+            [
+                (state, round_index, adoption, onload_enabled, est_factor)
+                for state in states
+            ],
         )
+        sector_spill = np.zeros(n_sectors, dtype=np.int64)
+        sector_requests = np.zeros(n_sectors, dtype=np.int64)
+        for shard_offers in offers:
+            sector_spill += shard_offers.sector_spill
+            sector_requests += shard_offers.sector_requests
 
-        n_rounds = params.n_rounds
-        n_sectors = params.n_sectors
-        est_factor = np.ones(params.n_dslams, dtype=np.float64)
-        round_arrivals: List[int] = []
-        round_adsl: List[int] = []
-        round_onload: List[int] = []
-        round_waste: List[int] = []
-        round_backlog: List[int] = []
-        sector_util = np.zeros((n_rounds, n_sectors), dtype=np.float64)
-        permit_ledger: Dict[str, int] = {
-            "requests": 0,
-            "grants": 0,
-            DENY_CAPACITY: 0,
-            DENY_THRESHOLD: 0,
-        }
-        cap_exhaustions = 0
-
-        def run_round(round_index: int, now: float) -> None:
-            nonlocal states, cap_exhaustions
-            # Leg A: arrivals + offers.
-            offer_results = exchange.map(
-                _leg_offer,
-                [
-                    (
-                        states[shard],
-                        round_index,
-                        adoption,
-                        onload_enabled,
-                        est_factor,
-                    )
-                    for shard in range(n_shards)
-                ],
-            )
-            offers = [pair[0] for pair in offer_results]
-            states = [pair[1] for pair in offer_results]
-            sector_spill = np.zeros(n_sectors, dtype=np.int64)
-            sector_requests = np.zeros(n_sectors, dtype=np.int64)
-            for shard_offers in offers:
-                sector_spill += shard_offers.sector_spill
-                sector_requests += shard_offers.sector_requests
-
-            # Dispatcher verdict: onload pools + permit admission.
-            background = _background_bytes(
-                params, population.sector_peak_util, round_index
-            )
-            if onload_enabled:
-                verdict = _onload_verdict(
-                    params,
-                    policy,
-                    round_index,
-                    background,
-                    sector_spill,
-                    sector_requests,
-                    permit_ledger,
-                )
-            else:
-                empty = np.zeros(n_sectors, dtype=np.int64)
-                verdict = OnloadVerdict(
-                    enabled=False,
-                    sector_granted=np.zeros(n_sectors, dtype=np.bool_),
-                    sector_pool=empty,
-                    sector_spill_total=empty,
-                )
-
-            # Leg B: settle onload grants, meter caps, relieve DSLAMs.
-            settle_results = exchange.map(
-                _leg_settle,
-                [(states[shard], verdict) for shard in range(n_shards)],
-            )
-            states = [pair[1] for pair in settle_results]
-            dslam_want = np.zeros(params.n_dslams, dtype=np.int64)
-            sector_served = np.zeros(n_sectors, dtype=np.int64)
-            for result, _state in settle_results:
-                dslam_want += result.dslam_want
-                sector_served += result.sector_served
-                cap_exhaustions += result.cap_exhaustions
-
-            # Leg C: allocate the DSLAM backhaul from global totals.
-            adsl_verdict = AdslVerdict(dslam_want_total=dslam_want)
-            finish_results = exchange.map(
-                _leg_finish,
-                [
-                    (states[shard], round_index, adsl_verdict)
-                    for shard in range(n_shards)
-                ],
-            )
-            states = [pair[1] for pair in finish_results]
-            arrivals = adsl = onload = waste = backlog = 0
-            for aggregates, _state in finish_results:
-                arrivals += aggregates.arrivals_bytes
-                adsl += aggregates.adsl_bytes
-                onload += aggregates.onload_bytes
-                waste += aggregates.waste_bytes
-                backlog += aggregates.backlog_bytes
-            round_arrivals.append(arrivals)
-            round_adsl.append(adsl)
-            round_onload.append(onload)
-            round_waste.append(waste)
-            round_backlog.append(backlog)
-
-            # Next round's contention estimate: realized allocation
-            # factor per DSLAM, derived from global integer totals.
-            est_factor[:] = np.minimum(
-                params.dslam_round_bytes
-                / np.maximum(dslam_want, 1).astype(np.float64),
-                1.0,
-            )
-            sector_util[round_index] = (
-                background + sector_served
-            ) / float(params.cell_round_bytes)
-
-            if obs is not None:
-                obs.event(
-                    "fleet.round",
-                    time=now,
-                    policy=policy,
-                    round=round_index,
-                    adsl_bytes=adsl,
-                    onload_bytes=onload,
-                    backlog_bytes=backlog,
-                )
-                obs.count("fleet.demand_bytes", arrivals, policy=policy)
-                obs.count("fleet.adsl_bytes", adsl, policy=policy)
-                obs.count("fleet.onload_bytes", onload, policy=policy)
-                obs.count("fleet.waste_bytes", waste, policy=policy)
-                obs.gauge("fleet.backlog_bytes", backlog, policy=policy)
-
-        engine = SimulationEngine()
-        for round_index in range(n_rounds):
-            when = round_index * params.round_s
-
-            def callback(index: int = round_index, at: float = when) -> None:
-                run_round(index, at)
-
-            engine.schedule_at(
-                when, callback, label=f"fleet-round-{round_index}"
-            )
-        while engine.has_timers():
-            engine.advance_clock(engine.next_boundary())
-            engine.run_due_timers()
-
-        finals: List[ShardFinal] = exchange.map(
-            _leg_final, [(states[shard],) for shard in range(n_shards)]
+        # Dispatcher verdict: onload pools + permit admission.
+        background = _background_bytes(
+            params, population.sector_peak_util, round_index
         )
-    finally:
-        exchange.close()
+        if onload_enabled:
+            verdict = _onload_verdict(
+                params,
+                policy,
+                round_index,
+                background,
+                sector_spill,
+                sector_requests,
+                permit_ledger,
+            )
+        else:
+            empty = np.zeros(n_sectors, dtype=np.int64)
+            verdict = OnloadVerdict(
+                enabled=False,
+                sector_granted=np.zeros(n_sectors, dtype=np.bool_),
+                sector_pool=empty,
+                sector_spill_total=empty,
+            )
+
+        # Leg B: settle onload grants, meter caps, relieve DSLAMs.
+        settled: List[OnloadResult] = exchange.map(
+            _leg_settle, [(state, verdict) for state in states]
+        )
+        dslam_want = np.zeros(params.n_dslams, dtype=np.int64)
+        sector_served = np.zeros(n_sectors, dtype=np.int64)
+        for result in settled:
+            dslam_want += result.dslam_want
+            sector_served += result.sector_served
+            cap_exhaustions += result.cap_exhaustions
+
+        # Leg C: allocate the DSLAM backhaul from global totals.
+        adsl_verdict = AdslVerdict(dslam_want_total=dslam_want)
+        finished: List[RoundAggregates] = exchange.map(
+            _leg_finish,
+            [(state, round_index, adsl_verdict) for state in states],
+        )
+        arrivals = adsl = onload = waste = backlog = 0
+        for aggregates in finished:
+            arrivals += aggregates.arrivals_bytes
+            adsl += aggregates.adsl_bytes
+            onload += aggregates.onload_bytes
+            waste += aggregates.waste_bytes
+            backlog += aggregates.backlog_bytes
+        round_arrivals.append(arrivals)
+        round_adsl.append(adsl)
+        round_onload.append(onload)
+        round_waste.append(waste)
+        round_backlog.append(backlog)
+
+        # Next round's contention estimate: realized allocation factor
+        # per DSLAM, derived from global integer totals.
+        est_factor[:] = np.minimum(
+            params.dslam_round_bytes
+            / np.maximum(dslam_want, 1).astype(np.float64),
+            1.0,
+        )
+        sector_util[round_index] = (
+            background + sector_served
+        ) / float(params.cell_round_bytes)
+
+        if obs is not None:
+            obs.event(
+                "fleet.round",
+                time=now,
+                policy=policy,
+                round=round_index,
+                adsl_bytes=adsl,
+                onload_bytes=onload,
+                backlog_bytes=backlog,
+            )
+            obs.count("fleet.demand_bytes", arrivals, policy=policy)
+            obs.count("fleet.adsl_bytes", adsl, policy=policy)
+            obs.count("fleet.onload_bytes", onload, policy=policy)
+            obs.count("fleet.waste_bytes", waste, policy=policy)
+            obs.gauge("fleet.backlog_bytes", backlog, policy=policy)
+
+    finals: List[ShardFinal] = exchange.map(
+        _leg_final, [(state,) for state in states]
+    )
 
     n = params.n_households
     served_adsl = np.zeros(n, dtype=np.int64)
@@ -569,13 +493,10 @@ def run_policy(
 def run_city(
     params: FleetParameters,
     adoption: float = 0.25,
-    jobs: int = 1,
     n_shards: int = DEFAULT_SHARDS,
 ) -> FleetOutcome:
     """The full comparison: baseline plus both onload policies."""
     runs: Dict[str, PolicyRun] = {}
     for policy in POLICIES:
-        runs[policy] = run_policy(
-            params, policy, adoption, jobs=jobs, n_shards=n_shards
-        )
+        runs[policy] = run_policy(params, policy, adoption, n_shards=n_shards)
     return FleetOutcome(params=params, adoption=adoption, runs=runs)

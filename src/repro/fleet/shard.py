@@ -1,4 +1,4 @@
-"""Shard workers: vectorized per-round household dynamics for one shard.
+"""Shard legs: vectorized per-round household dynamics for one shard.
 
 A shard owns every household whose cell sector lands on it under
 round-robin sector partitioning (``sector % n_shards == shard``), so
@@ -6,11 +6,10 @@ sector capacity is always shard-local; DSLAM backhauls and the permit
 server span shards and are resolved by the dispatcher's per-round
 exchange (``docs/FLEET.md``).
 
-Every function here is **pure over its inputs**: shard state travels in
-and out of worker processes explicitly, the shard's population slice is
-recomputed from the seed (and cached per process), and all
-cross-household sums are integer bytes — which is what makes the merged
-report byte-identical at any ``--jobs`` and any shard count.
+Every leg reads only its own shard's population slice (recomputed from
+the seed and cached per process) and state, which it updates in place,
+and every cross-household sum is integer bytes — which is what makes
+the merged report byte-identical at any shard count.
 
 Each round runs three legs per shard (the bounded fixed-point
 exchange):
@@ -86,7 +85,7 @@ class ShardPopulation:
 
 @dataclass
 class ShardState:
-    """Per-household dynamic state that travels between worker calls."""
+    """Per-household dynamic state the legs update in place."""
 
     #: Bytes requested but not yet delivered.
     backlog: NDArray[np.int64]
@@ -183,8 +182,9 @@ class ShardFinal:
 
 
 #: Per-process caches: the full city per parameter set, and the slice
-#: per (parameter set, partition, shard). With a fork-context pool the
-#: first call in each worker process pays the sampling cost once.
+#: per (parameter set, partition, shard). A city day runs ``run_policy``
+#: once per policy (ext-fleet five times per ramp) over the same
+#: parameters, so only the first run pays for sampling and slicing.
 _POPULATION_CACHE: Dict[FleetParameters, Population] = {}
 _SHARD_CACHE: Dict[Tuple[FleetParameters, int, int], ShardPopulation] = {}
 

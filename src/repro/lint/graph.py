@@ -8,7 +8,8 @@ ASTs the engine already parsed:
 * :class:`ModuleInfo` — one module's bindings: its imports (plain,
   aliased, ``from``-imports, ``import *``), top-level functions,
   classes with their methods and attribute types, and module-level
-  assignments;
+  assignments — plus its :class:`ImportEdge` list, every module it
+  imports anywhere in its body (the raw material of RL013);
 * :class:`SymbolTable` — resolves a name used in one module to the
   function/class that defines it, following aliases, re-exports and
   star imports across module boundaries (cycle-safe);
@@ -32,6 +33,7 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
+    "ImportEdge",
     "ModuleInfo",
     "RaiseSite",
     "SymbolTable",
@@ -88,6 +90,16 @@ def annotation_type_names(node: Optional[ast.AST]) -> FrozenSet[str]:
                 pass
         stack.extend(ast.iter_child_nodes(current))
     return frozenset(names)
+
+
+@dataclass(frozen=True)
+class ImportEdge:
+    """One import statement: ``from module import names``, or a plain
+    ``import module`` (``names`` empty)."""
+
+    module: str
+    names: Tuple[str, ...]
+    line: int
 
 
 @dataclass
@@ -181,6 +193,8 @@ class ModuleInfo:
         self.symbol_imports: Dict[str, Tuple[str, str]] = {}
         #: Modules star-imported with ``from m import *``.
         self.star_imports: List[str] = []
+        #: Every import in the module, function-level ones included.
+        self.import_edges: List[ImportEdge] = []
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         #: Module-level simple assignments: name -> value expression.
@@ -211,6 +225,19 @@ class ModuleInfo:
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 if isinstance(node.target, ast.Name):
                     self.assignments[node.target.id] = node.value
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                self.import_edges.extend(
+                    ImportEdge(alias.name, (), node.lineno)
+                    for alias in node.names
+                )
+            elif isinstance(node, ast.ImportFrom):
+                target = self._resolve_relative(node.module, node.level)
+                if target is not None:
+                    names = tuple(alias.name for alias in node.names)
+                    self.import_edges.append(
+                        ImportEdge(target, names, node.lineno)
+                    )
 
     def _collect_import(self, node: ast.Import) -> None:
         for alias in node.names:

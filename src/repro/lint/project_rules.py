@@ -1,4 +1,4 @@
-"""The cross-module rules: RL008-RL011.
+"""The cross-module rules: RL008-RL011 and RL013.
 
 These run on the :class:`~repro.lint.project.ProjectContext` — the
 whole-tree symbol table, call graph and function summaries — instead of
@@ -6,7 +6,7 @@ one module's AST, so they can see what the per-module rules (RL001-
 RL007) structurally cannot: an unseeded value laundered through a
 helper, an event name the obs catalogue never defined, an authority
 mutation from outside the guard layer, a ``ValueError`` escaping a
-parse path two calls down.
+parse path two calls down, an import that climbs the layer table.
 
 The same design principle applies as in :mod:`repro.lint.rules`, only
 more so: cross-module inference is approximate, and a project rule that
@@ -17,9 +17,10 @@ types and opaque seed expressions all read as clean.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.core import Finding, ProjectRule, rule
+from repro.lint.graph import ImportEdge
 from repro.lint.project import EscapedRaise, ProjectContext, Provenance
 
 # ---------------------------------------------------------------------------
@@ -418,3 +419,125 @@ class ExceptionEscapeRule(ProjectRule):
             escaped.origin,
             escaped.site.node,
         )
+
+
+# ---------------------------------------------------------------------------
+# RL013 — import layering
+# ---------------------------------------------------------------------------
+
+#: docs/ARCHITECTURE.md's layer table, bottom tier first. A module may
+#: import its own layer and any layer on a lower tier, never a sibling
+#: on its own tier or anything above. A layer is a package (``"core"``)
+#: or one module that sits apart from its package (``"proto.errors"``,
+#: the wire error taxonomy the web parsers raise; ``"obs.cli"``); the
+#: longest match wins. The modules directly under ``repro`` (the CLI
+#: front door) form the entry tier above all of them.
+LAYER_TIERS: Tuple[FrozenSet[str], ...] = (
+    frozenset({"util"}),
+    frozenset({"obs", "proto.errors"}),
+    frozenset({"netsim"}),
+    frozenset({"web"}),
+    frozenset({"traces"}),
+    frozenset({"core"}),
+    frozenset({"analysis", "fleet", "pilot", "proto"}),
+    frozenset({"experiments", "service"}),
+    frozenset({"bench", "fuzz", "hunt", "lint"}),
+    frozenset({"obs.cli", "service.cli"}),
+)
+
+_TIER_OF: Dict[str, int] = {
+    layer: tier for tier, layers in enumerate(LAYER_TIERS) for layer in layers
+}
+
+#: Layer name of the entry tier (``repro``, ``repro.cli``, ...).
+ENTRY_LAYER = "repro"
+
+
+def layer_of(module: str) -> Optional[Tuple[str, int]]:
+    """``(layer, tier)`` of a dotted module name.
+
+    ``None`` for modules outside ``repro`` and for packages the table
+    does not list.
+    """
+    parts = module.split(".")
+    if parts[0] != "repro":
+        return None
+    for end in range(len(parts), 1, -1):
+        key = ".".join(parts[1:end])
+        if key in _TIER_OF:
+            return key, _TIER_OF[key]
+    if len(parts) <= 2:
+        return ENTRY_LAYER, len(LAYER_TIERS)
+    return None
+
+
+def _edge_targets(project: ProjectContext, edge: ImportEdge) -> List[str]:
+    """The modules one import statement reaches (``from pkg import mod``
+    reaches ``pkg.mod``)."""
+    if not edge.names:
+        return [edge.module]
+    targets: Dict[str, None] = {}
+    for name in edge.names:
+        sub = f"{edge.module}.{name}"
+        if sub in project.modules or edge.module == "repro":
+            targets[sub] = None
+        else:
+            targets[edge.module] = None
+    return list(targets)
+
+
+@rule
+class ImportLayeringRule(ProjectRule):
+    """Imports go down the layer table, never sideways or up."""
+
+    code = "RL013"
+    title = "imports follow the downward layer table (docs/ARCHITECTURE.md)"
+    rationale = (
+        "The package layering is what lets a lower layer be tested, "
+        "reused and reasoned about without the layers above it. A "
+        "single convenience import of an experiment helper from the "
+        "fleet (or of an experiment's config from the pilot) inverts "
+        "it silently; checking every import edge, lazy ones included, "
+        "against the documented table keeps the prose and the tree in "
+        "step."
+    )
+    scope = "src/repro (every import, function-level ones included)"
+
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        """Flag imports of same-tier siblings or higher tiers, and
+        packages missing from the table."""
+        for name, module in sorted(project.modules.items()):
+            importer = layer_of(name)
+            if importer is None:
+                yield Finding(
+                    code=self.code,
+                    message=(
+                        f"{name} is in no layer: add its package to "
+                        "LAYER_TIERS and docs/ARCHITECTURE.md's table"
+                    ),
+                    path=module.path,
+                    line=1,
+                    col=0,
+                )
+                continue
+            layer, tier = importer
+            for edge in module.import_edges:
+                for target in _edge_targets(project, edge):
+                    found = layer_of(target)
+                    if found is None:
+                        continue
+                    target_layer, target_tier = found
+                    if target_layer == layer or target_tier < tier:
+                        continue
+                    yield Finding(
+                        code=self.code,
+                        message=(
+                            f"{layer} (tier {tier}) may not import "
+                            f"{target} ({target_layer}, tier "
+                            f"{target_tier}): imports go only to lower "
+                            "tiers of the layer table"
+                        ),
+                        path=module.path,
+                        line=edge.line,
+                        col=0,
+                    )

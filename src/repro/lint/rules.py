@@ -80,7 +80,7 @@ _DETERMINISM_PACKAGES = (
     # hunt promises seed-reproducible scenario generation, mutation and
     # minimization — the corpus is only replayable if that holds.
     "hunt",
-    # fleet promises byte-identical merges at any --jobs/shard count;
+    # fleet promises byte-identical merges at any shard count;
     # its only entropy is the seed-derived population stream.
     "fleet",
 )
@@ -286,7 +286,6 @@ _NON_EXPERIMENT_MODULES = frozenset(
     {
         "__init__.py",
         "catalogue.py",
-        "formatting.py",
         "registry.py",
         "report.py",
         "runner.py",

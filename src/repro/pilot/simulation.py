@@ -16,13 +16,31 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.mobile import OperatingMode
 from repro.core.permits import PermitServer
 from repro.core.session import DEFAULT_DAILY_BUDGET_BYTES, OnloadSession
-from repro.experiments.wild import wild_config
-from repro.netsim.topology import Household
+from repro.netsim.topology import Household, HouseholdConfig
 from repro.pilot.workload import HouseholdPlan, PhotoUploadEvent, VideoEvent
 from repro.traces.pictures import generate_photo_set
 from repro.util.rng import RngFactory
 from repro.util.stats import RunningStats
-from repro.util.units import bytes_to_megabytes
+from repro.util.units import bytes_to_megabytes, mbps
+
+#: rwnd/RTT cap of one TCP connection to the (distant) origin server
+#: (~56 KB window over ~150 ms).
+WIRED_FLOW_CAP_BPS = mbps(3.0)
+#: The 3G proxy path is also a single TCP connection; HSPA RTTs are higher
+#: but the radio link is the tighter constraint, so the cap rarely binds.
+CELLULAR_FLOW_CAP_BPS = mbps(3.0)
+
+
+def wild_config(
+    n_phones: int, seed: int, connected_start: bool = False
+) -> HouseholdConfig:
+    """Household configuration of the §5.2 wild evaluation and the pilot."""
+    return HouseholdConfig(
+        n_phones=n_phones,
+        wired_flow_cap_bps=WIRED_FLOW_CAP_BPS,
+        cellular_flow_cap_bps=CELLULAR_FLOW_CAP_BPS,
+        seed=seed,
+    )
 
 
 @dataclass(frozen=True)

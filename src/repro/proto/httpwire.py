@@ -91,7 +91,8 @@ class _ReadBudget:
     every ``timeout - ε`` seconds resets the clock forever. The budget
     caps the *whole* read — each recv's timeout shrinks to what is
     left, and a spent budget raises :class:`StallError` just like a
-    silent peer. ``None`` disables the bound (the prior behaviour).
+    silent peer, but naming the budget. ``None`` disables the bound
+    (the prior behaviour).
     """
 
     def __init__(self, overall_timeout: Optional[float]) -> None:
@@ -101,6 +102,9 @@ class _ReadBudget:
             else time.monotonic() + overall_timeout
         )
         self.overall_timeout = overall_timeout
+        #: Whether the last recv timeout was cut to the remaining budget,
+        #: so that its expiry is the budget's, not a silent peer's.
+        self.binding = False
 
     def recv_timeout(
         self, base: Optional[float]
@@ -110,12 +114,15 @@ class _ReadBudget:
             return base
         remaining = self._stop_at - time.monotonic()
         if remaining <= 0.0:
-            raise StallError(
-                f"read exceeded its {self.overall_timeout}s budget"
-            )
+            raise StallError(self.spent())
+        self.binding = base is None or remaining < base
         if base is None:
             return max(MIN_TIMEOUT_S, remaining)
         return clamp_timeout(base, remaining)
+
+    def spent(self) -> str:
+        """The stall message for a read cut off by the overall budget."""
+        return f"read exceeded its {self.overall_timeout}s budget"
 
 
 #: Control characters never valid inside a header value (HTAB allowed).
@@ -124,19 +131,24 @@ _VALUE_CTL = frozenset(
 ) | {"\x7f"}
 
 
-def _recv(sock: socket.socket, timeout: Optional[float]) -> bytes:
+def _recv(
+    sock: socket.socket, timeout: Optional[float], budget: _ReadBudget
+) -> bytes:
     """One recv with stall translation.
 
     ``timeout`` (seconds) bounds this single read when given; ``None``
     leaves the socket's own timeout configuration alone. Either way an
     expired socket timeout surfaces as :class:`StallError` so callers
-    handle a silent peer exactly like any other protocol failure.
+    handle a silent peer exactly like any other protocol failure; when
+    ``budget`` had cut the timeout short, the error names the budget.
     """
     if timeout is not None:
         sock.settimeout(timeout)
     try:
         return sock.recv(RECV_CHUNK)
     except socket.timeout:
+        if budget.binding:
+            raise StallError(budget.spent()) from None
         bound = timeout if timeout is not None else sock.gettimeout()
         raise StallError(f"peer sent nothing for {bound}s") from None
 
@@ -164,7 +176,7 @@ def read_until_blank_line(
             raise WireError(
                 f"header section exceeds {max_header_bytes} bytes"
             )
-        chunk = _recv(sock, budget.recv_timeout(timeout))
+        chunk = _recv(sock, budget.recv_timeout(timeout), budget)
         if not chunk:
             if not data:
                 raise WireError("connection closed before request")
@@ -308,7 +320,7 @@ def read_body(
     budget = _ReadBudget(overall_timeout)
     body = leftover
     while len(body) < content_length:
-        chunk = _recv(sock, budget.recv_timeout(timeout))
+        chunk = _recv(sock, budget.recv_timeout(timeout), budget)
         if not chunk:
             raise WireError("connection closed mid-body")
         body += chunk

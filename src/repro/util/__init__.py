@@ -4,7 +4,8 @@ This package holds the small building blocks every other subpackage relies
 on: unit conversions between bits, bytes and rates (:mod:`repro.util.units`),
 seeded random-number helpers (:mod:`repro.util.rng`), light-weight argument
 validation (:mod:`repro.util.validate`), streaming statistics
-(:mod:`repro.util.stats`), the shared console-script exit-code contract
+(:mod:`repro.util.stats`), aligned text tables
+(:mod:`repro.util.formatting`), the shared console-script exit-code contract
 (:mod:`repro.util.clitools`) and exception triage for the fuzz/hunt
 drivers (:mod:`repro.util.triage`).
 """

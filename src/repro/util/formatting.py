@@ -1,4 +1,4 @@
-"""Plain-text table rendering for experiment results.
+"""Plain-text table rendering for experiment and fleet results.
 
 The benchmark harness prints each reproduced table/figure as an aligned
 text table so a reader can compare against the paper side by side.

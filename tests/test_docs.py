@@ -172,6 +172,16 @@ class TestArchitectureDoc:
         missing = [name for name in packages if f"{name}/" not in doc]
         assert not missing, f"packages undocumented: {missing}"
 
+    def test_layer_table_matches_rl013(self, doc):
+        from repro.lint.project_rules import LAYER_TIERS
+
+        rows = re.findall(r"^\| (\d+) \| (.+?) \|$", doc, flags=re.MULTILINE)
+        documented = [
+            frozenset(re.findall(r"`([\w.]+)`", layers)) for _, layers in rows
+        ]
+        assert [int(tier) for tier, _ in rows] == list(range(len(rows)))
+        assert documented == list(LAYER_TIERS)
+
     def test_names_the_four_policies(self, doc):
         for policy in ("GRD", "RR", "MIN", "DLN"):
             assert policy in doc

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments.formatting import fmt, fmt_mbps, render_table
 from repro.experiments.report import _section
+from repro.util.formatting import fmt, fmt_mbps, render_table
 
 
 class TestRenderTable:

@@ -2,8 +2,8 @@
 
 The headline contract under test is the deterministic merge
 (docs/FLEET.md): the merged city-day result is byte-identical at any
-shard count and any ``--jobs``, pinned golden-digest style the way the
-trace goldens pin the engine.
+shard count, pinned golden-digest style the way the trace goldens pin
+the engine.
 """
 
 import json
@@ -16,6 +16,7 @@ from repro.fleet.cli import main as fleet_main
 from repro.fleet.dispatcher import run_city, run_policy
 from repro.fleet.population import FleetParameters, sample_population
 from repro.fleet.report import FleetReport
+from repro.obs import capture
 from repro.util.units import mbps
 
 #: Small-but-contended city: 16 Mbps backhaul over 128-household
@@ -94,15 +95,14 @@ class TestDeterministicMerge:
         assert reference.digest() == self.GOLDEN
         assert reference.findings == ()
 
-    def test_jobs_invariant(self, reference):
-        fanned = ext_fleet.run(backhaul_mbps=16.0, jobs=4, **TEST_KW)
-        assert fanned.digest() == reference.digest()
-
     def test_shard_count_invariant(self, reference):
-        one = ext_fleet.run(backhaul_mbps=16.0, n_shards=1, **TEST_KW)
-        eight = ext_fleet.run(backhaul_mbps=16.0, n_shards=8, **TEST_KW)
-        assert one.digest() == reference.digest()
-        assert eight.digest() == reference.digest()
+        # 3 does not divide the 8 sectors, so shards differ in size.
+        assert _params().n_sectors % 3 != 0
+        for n_shards in (1, 3, 8):
+            run = ext_fleet.run(
+                backhaul_mbps=16.0, n_shards=n_shards, **TEST_KW
+            )
+            assert run.digest() == reference.digest(), n_shards
 
 
 class TestCityDay:
@@ -146,6 +146,18 @@ class TestCityDay:
         gated = outcome.runs["network-integrated"]
         assert gated.permit_requests > 0
         assert gated.permit_grants <= gated.permit_requests
+
+    def test_round_events_at_round_starts(self):
+        """Round ``r``'s ``fleet.round`` event is stamped ``r * round_s``."""
+        params = _params()
+        with capture() as handle:
+            run_policy(params, "network-integrated", 0.5)
+        rounds = handle.tracer.of_name("fleet.round")
+        assert [dict(e.fields)["round"] for e in rounds] == list(
+            range(params.n_rounds)
+        )
+        expected = [r * params.round_s for r in range(params.n_rounds)]
+        assert [e.time for e in rounds] == expected
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):

@@ -1,4 +1,4 @@
-"""Project-level lint: the graph builder and the RL008-RL011 rules.
+"""Project-level lint: the graph builder and the RL008-RL011, RL013 rules.
 
 The graph machinery (symbol table, call graph) is tested directly on
 hand-built :class:`ModuleInfo` sets; each cross-module rule gets a
@@ -568,3 +568,65 @@ class TestExceptionEscapeRule:
         })
         assert codes_of(run) == ["RL011"]
         assert run.findings[0].path.endswith("fields.py")
+
+
+class TestImportLayeringRule:
+    def test_upward_import_flagged(self):
+        # The inversion RL013 was written for: a fleet module borrowing
+        # an experiments helper.
+        run = run_rule("RL013", {
+            "src/repro/experiments/formatting.py": """
+                def fmt(value):
+                    return str(value)
+                """,
+            "src/repro/fleet/report.py": """
+                from repro.experiments.formatting import fmt
+                """,
+        })
+        assert codes_of(run) == ["RL013"]
+        assert "repro.experiments.formatting" in run.findings[0].message
+        assert run.findings[0].path.endswith("fleet/report.py")
+
+    def test_downward_import_is_clean(self):
+        # Inverse control: the same edge pointing down the table.
+        run = run_rule("RL013", {
+            "src/repro/fleet/report.py": """
+                def summarize(outcome):
+                    return outcome
+                """,
+            "src/repro/experiments/ext_fleet.py": """
+                from repro.fleet.report import summarize
+                """,
+        })
+        assert codes_of(run) == []
+
+    def test_lazy_and_sibling_imports_flagged(self):
+        # pilot and fleet share a tier; a function-level import counts.
+        run = run_rule("RL013", {
+            "src/repro/pilot/simulation.py": "X = 1\n",
+            "src/repro/fleet/dispatcher.py": """
+                def run():
+                    from repro.pilot import simulation
+                    return simulation.X
+                """,
+        })
+        assert codes_of(run) == ["RL013"]
+        assert run.findings[0].line == 3
+
+    def test_module_layers_split_their_package(self):
+        # web may raise proto's error taxonomy but not use its client.
+        run = run_rule("RL013", {
+            "src/repro/proto/errors.py": "class WireError(Exception): ...\n",
+            "src/repro/proto/client.py": "X = 1\n",
+            "src/repro/web/hls.py": """
+                from repro.proto import errors
+                from repro.proto.client import X
+                """,
+        })
+        assert codes_of(run) == ["RL013"]
+        assert "repro.proto.client" in run.findings[0].message
+
+    def test_unlisted_package_flagged(self):
+        run = run_rule("RL013", {"src/repro/gadgets/widget.py": "X = 1\n"})
+        assert codes_of(run) == ["RL013"]
+        assert "LAYER_TIERS" in run.findings[0].message

@@ -186,6 +186,33 @@ class TestOverallReadBudget:
             ours.close()
             theirs.close()
 
+    def test_silent_peer_under_a_tighter_budget_names_the_budget(self):
+        # The budget (0.1s) is shorter than the per-recv timeout (1s),
+        # so the recv that expires was cut to the budget: the error
+        # must name the budget, not a silent peer.
+        ours, theirs = socket.socketpair()
+        try:
+            with pytest.raises(StallError, match="budget"):
+                read_until_blank_line(
+                    ours, timeout=1.0, overall_timeout=0.1
+                )
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_silent_peer_under_a_looser_budget_names_the_peer(self):
+        # Inverse control: the per-recv timeout binds, so the peer's
+        # silence is what the error reports.
+        ours, theirs = socket.socketpair()
+        try:
+            with pytest.raises(StallError, match="peer sent nothing"):
+                read_until_blank_line(
+                    ours, timeout=0.1, overall_timeout=5.0
+                )
+        finally:
+            ours.close()
+            theirs.close()
+
     def test_no_budget_keeps_the_per_recv_semantics(self):
         # A trickled but terminating head still parses when no overall
         # budget is set (the pre-existing behaviour).
