@@ -442,7 +442,7 @@ LAYER_TIERS: Tuple[FrozenSet[str], ...] = (
     frozenset({"analysis", "fleet", "pilot", "proto"}),
     frozenset({"experiments", "service"}),
     frozenset({"bench", "fuzz", "hunt", "lint"}),
-    frozenset({"obs.cli", "service.cli"}),
+    frozenset({"obs.cli"}),
 )
 
 _TIER_OF: Dict[str, int] = {

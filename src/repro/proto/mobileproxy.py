@@ -7,10 +7,11 @@ the origin passes through the bucket, so the proxy's throughput is the
 emulated channel's. Both directions are shaped (HSDPA down, HSUPA up may
 have different buckets).
 
-The proxy assumes hostile peers on both sides: reads are bounded and
-carry per-socket recv timeouts, and a bad peer degrades exactly one
-connection — a malformed request earns a 400, a garbled or stalling
-origin earns a 502/504, either lands a structured
+The proxy assumes hostile peers on both sides: reads are bounded, carry
+per-socket recv timeouts and, on the LAN side, an overall budget that
+stops a trickling client, and a bad peer degrades exactly one
+connection — a malformed or trickled request earns a 400, a garbled
+or stalling origin earns a 502/504, either lands a structured
 :class:`~repro.core.resilience.DegradationLog` entry, and the accept
 loop keeps serving every other connection.
 """
@@ -20,21 +21,17 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
-import time
 from typing import Optional, Tuple
 
 from repro.core.resilience import DegradationLog
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.proto import httpwire
 from repro.proto.errors import StallError, WireError
+from repro.proto.listener import Listener
 from repro.proto.shaping import TokenBucket, shaped_send
 
-#: The accept loop wakes at this cadence to re-check its running flag,
-#: so a stop() that races the accept call never strands the thread.
-ACCEPT_TICK_S = 0.5
 
-
-class MobileProxy:
+class MobileProxy(Listener):
     """A forwarding HTTP proxy with per-direction rate shaping."""
 
     def __init__(
@@ -48,10 +45,10 @@ class MobileProxy:
         degradation_log: Optional[DegradationLog] = None,
         obs: Optional[Instrumentation] = None,
     ) -> None:
+        super().__init__(name)
         self.origin_address = origin_address
         self.down_bucket = down_bucket
         self.up_bucket = up_bucket
-        self.name = name
         #: Bound on each upstream (origin-facing) recv gap.
         self.recv_timeout = recv_timeout
         #: Bound on how long a LAN connection may sit idle between
@@ -68,62 +65,10 @@ class MobileProxy:
         #: Instrumentation handle; worker threads only touch locked
         #: metric counters (never the tracer) through it.
         self._obs = obs if obs is not None else obs_current()
-        self._started_at = time.monotonic()
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(32)
-        self._server.settimeout(ACCEPT_TICK_S)
-        self.host, self.port = self._server.getsockname()
-        self._running = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "MobileProxy":
-        """Start accepting LAN connections."""
-        self._running = True
-        threading.Thread(
-            target=self._accept_loop, name=f"{self.name}-accept", daemon=True
-        ).start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the proxy."""
-        self._running = False
-        with contextlib.suppress(OSError):
-            self._server.close()
-
-    def __enter__(self) -> "MobileProxy":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) the proxy listens on (the LAN side)."""
-        return (self.host, self.port)
-
-    def _now(self) -> float:
-        """Seconds since the proxy was built (degradation timestamps)."""
-        return time.monotonic() - self._started_at
 
     # ------------------------------------------------------------------
     # Relaying
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except socket.timeout:
-                continue  # tick: re-check the running flag
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
-
     def _serve_connection(self, client: socket.socket) -> None:
         """Pipe one LAN connection's requests through the shaped uplink.
 
@@ -157,10 +102,16 @@ class MobileProxy:
                 return
             leftover = b""
             while True:
-                # Request from the LAN client (idle-bounded).
+                # Request from the LAN client. The overall bounds stop
+                # a slow-loris client with the service's multiples:
+                # twice the idle timeout for the head, four recv
+                # timeouts (or the propagated deadline) for the body.
                 try:
                     head, leftover = httpwire.read_until_blank_line(
-                        client, leftover, timeout=self.idle_timeout
+                        client,
+                        leftover,
+                        timeout=self.idle_timeout,
+                        overall_timeout=2.0 * self.idle_timeout,
                     )
                     first, headers = httpwire.parse_head(head)
                     length = httpwire.parse_content_length(headers)
@@ -170,6 +121,9 @@ class MobileProxy:
                         leftover,
                         length,
                         timeout=self._clamp(deadline_s),
+                        overall_timeout=httpwire.clamp_timeout(
+                            4.0 * self.recv_timeout, deadline_s
+                        ),
                     )
                 except WireError as exc:
                     self._reject_client(client, exc)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.proto import httpwire
-from repro.proto.mobileproxy import ACCEPT_TICK_S
+from repro.proto.listener import Listener
 from repro.web.hls import VideoAsset, render_m3u8
 
 
@@ -26,22 +26,15 @@ def _segment_payload(uri: str, size: int) -> bytes:
     return (tag * reps)[:size]
 
 
-class LoopbackOrigin:
+class LoopbackOrigin(Listener):
     """Threaded HTTP origin bound to 127.0.0.1 on an ephemeral port."""
 
     def __init__(self) -> None:
+        super().__init__("origin")
         self._playlists: Dict[str, bytes] = {}
         self._segments: Dict[str, int] = {}
         self.uploads: Dict[str, int] = {}
         self._uploads_lock = threading.Lock()
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(64)
-        self._server.settimeout(ACCEPT_TICK_S)
-        self.host, self.port = self._server.getsockname()
-        self._running = False
-        self._accept_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Content
@@ -56,44 +49,8 @@ class LoopbackOrigin:
                 self._segments[segment.uri] = int(round(segment.size_bytes))
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "LoopbackOrigin":
-        """Start accepting connections (daemon threads)."""
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="origin-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the server and release the port."""
-        self._running = False
-        with contextlib.suppress(OSError):
-            self._server.close()
-
-    def __enter__(self) -> "LoopbackOrigin":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except socket.timeout:
-                continue  # tick: re-check the running flag
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
-
     def _serve_connection(self, conn: socket.socket) -> None:
         leftover = b""
         try:
@@ -107,7 +64,7 @@ class LoopbackOrigin:
                 )
                 first, headers = httpwire.parse_head(head)
                 method, path, _ = (first.split(" ", 2) + ["", ""])[:3]
-                length = int(headers.get("content-length", "0"))
+                length = httpwire.parse_content_length(headers)
                 body = httpwire.read_body(conn, leftover, length)
                 leftover = b""
                 conn.sendall(self._respond(method, path, body))
@@ -141,8 +98,3 @@ class LoopbackOrigin:
                 200, "OK", _segment_payload(path, size), content_type="video/mp2t"
             )
         return httpwire.render_response(404, "Not Found")
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) the origin listens on."""
-        return (self.host, self.port)

@@ -18,7 +18,9 @@ shaped 3G proxies, built for sustained operation:
   with straggler abort and byte true-up;
 * :mod:`repro.service.chaos` / :mod:`repro.service.loadgen` — the
   seeded adversarial fleet and the seeded open-loop workload that the
-  ``repro-serve smoke`` harness fires at a live service.
+  ``repro-serve smoke`` harness fires at a live service;
+* :mod:`repro.service.benchrecord` — the ``BENCH_service.json`` record
+  that harness writes.
 """
 
 from repro.service.admission import (

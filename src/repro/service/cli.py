@@ -31,7 +31,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.bench.service import (
+from repro.service.benchrecord import (
     SERVICE_BENCH_FILENAME,
     build_service_record,
     plan_section,

@@ -39,7 +39,6 @@ import contextlib
 import itertools
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -47,7 +46,7 @@ from repro.core.resilience import DegradationLog, FlowLedger, RetryBudget
 from repro.obs.capture import Instrumentation, current as obs_current
 from repro.proto import httpwire
 from repro.proto.errors import StallError, WireError
-from repro.proto.mobileproxy import ACCEPT_TICK_S
+from repro.proto.listener import Listener
 from repro.service.admission import AdmissionController
 from repro.service.lifecycle import (
     DRAINING,
@@ -178,7 +177,7 @@ class _Flow:
             self.client.close()
 
 
-class OnloadService:
+class OnloadService(Listener):
     """A long-running, overload-safe onloading relay service."""
 
     def __init__(
@@ -200,8 +199,8 @@ class OnloadService:
     ) -> None:
         if not legs:
             raise ValueError("need at least one upstream leg")
+        super().__init__(name)
         self.legs = list(legs)
-        self.name = name
         self.recv_timeout = recv_timeout
         self.idle_timeout = idle_timeout
         #: Hard bound on one flow's total lifetime (``None``: unbounded).
@@ -226,7 +225,6 @@ class OnloadService:
             else DegradationLog()
         )
         self._obs = obs if obs is not None else obs_current()
-        self._started_at = time.monotonic()
         self.lifecycle = Lifecycle()
         self._flow_ids = itertools.count()
         self._active: Dict[str, _Flow] = {}
@@ -241,26 +239,10 @@ class OnloadService:
         self._leg_lock = threading.Lock()
         self._unsubscribe_revocations: Optional[Callable[[], None]] = None
         self._drain_report: Optional[DrainReport] = None
-        self._running = False
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(128)
-        self._server.settimeout(ACCEPT_TICK_S)
-        self.host, self.port = self._server.getsockname()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) the service listens on."""
-        return (self.host, self.port)
-
-    def _now(self) -> float:
-        """Seconds since construction (journal/degradation stamps)."""
-        return time.monotonic() - self._started_at
-
     def start(self) -> "OnloadService":
         """Move to ``serving`` and begin accepting flows."""
         previous = self.lifecycle.transition(SERVING)
@@ -273,13 +255,7 @@ class OnloadService:
                     self._on_permit_revoked
                 )
             )
-        self._running = True
-        threading.Thread(
-            target=self._accept_loop,
-            name=f"{self.name}-accept",
-            daemon=True,
-        ).start()
-        return self
+        return super().start()
 
     def stop(self) -> DrainReport:
         """Graceful drain: stop accepting, drain, abort stragglers.
@@ -289,7 +265,7 @@ class OnloadService:
         """
         if self.lifecycle.state == STARTING:
             previous = self.lifecycle.transition(STOPPED)
-            self._close_server()
+            self._close()
             self._journal_event(
                 "service.state", state=STOPPED, previous=previous
             )
@@ -307,8 +283,7 @@ class OnloadService:
             in_flight=in_flight,
         )
         self.admission.begin_drain()
-        self._running = False
-        self._close_server()
+        self._close()
         drained_in_time = self.admission.wait_idle(self.drain_deadline_s)
         aborted = 0
         if not drained_in_time:
@@ -354,16 +329,9 @@ class OnloadService:
         self.flush_trace()
         return self._drain_report
 
-    def __enter__(self) -> "OnloadService":
-        return self.start()
-
     def __exit__(self, *exc: object) -> None:
         if self.lifecycle.state not in (STOPPED,):
             self.stop()
-
-    def _close_server(self) -> None:
-        with contextlib.suppress(OSError):
-            self._server.close()
 
     # ------------------------------------------------------------------
     # Reporting
@@ -399,21 +367,11 @@ class OnloadService:
     # ------------------------------------------------------------------
     # Accepting
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._server.accept()
-            except socket.timeout:
-                continue  # tick: re-check the running flag
-            except OSError:
-                return
-            flow_id = f"{self.name}-{next(self._flow_ids)}"
-            threading.Thread(
-                target=self._serve_flow,
-                args=(conn, flow_id),
-                name=f"{self.name}-{flow_id}",
-                daemon=True,
-            ).start()
+    def _serve_connection(self, conn: socket.socket) -> None:
+        # ``_serve_flow`` is looked up per connection, so a probe
+        # patched onto the class after start() still wraps every flow;
+        # ``next`` on the shared count is one atomic C call.
+        self._serve_flow(conn, f"{self.name}-{next(self._flow_ids)}")
 
     def _gauge_pool(self) -> None:
         if self._obs is not None:

@@ -133,7 +133,7 @@ class TestCli:
 
 class TestServiceBench:
     def test_plan_section_byte_identical_per_seed(self):
-        from repro.bench.service import plan_section
+        from repro.service.benchrecord import plan_section
         from repro.service.chaos import build_plan
         from repro.service.loadgen import build_load_plan
 
@@ -150,7 +150,7 @@ class TestServiceBench:
         assert one != json.dumps(derive(6), sort_keys=True)
 
     def test_record_roundtrip(self, tmp_path):
-        from repro.bench.service import (
+        from repro.service.benchrecord import (
             SERVICE_BENCH_FILENAME,
             build_service_record,
             write_service_record,

@@ -10,6 +10,7 @@ serving everyone else.
 import contextlib
 import socket
 import threading
+import time
 
 import pytest
 
@@ -213,6 +214,44 @@ class TestOverallReadBudget:
             ours.close()
             theirs.close()
 
+    def test_proxy_stalls_out_a_trickling_lan_client(self, origin):
+        # One header byte every 50 ms for ~3 s never trips the 0.2 s
+        # idle timeout; only the proxy's overall head budget (twice the
+        # idle timeout) cuts the client off, long before the trickle
+        # ends on its own.
+        proxy = MobileProxy(
+            origin.address, name="ph-loris", idle_timeout=0.2
+        ).start()
+        payload = b"POST /x HTTP/1.1\r\nX: " + b"a" * 39
+        sock = socket.create_connection(proxy.address, timeout=5.0)
+        stop = threading.Event()
+
+        def drip():
+            with contextlib.suppress(OSError):
+                for i in range(len(payload)):
+                    sock.sendall(payload[i : i + 1])
+                    if stop.wait(0.05):
+                        return
+
+        writer = threading.Thread(target=drip, daemon=True)
+        started = time.monotonic()
+        writer.start()
+        try:
+            try:
+                status, _, _ = read_response(sock, timeout=5.0)
+            except (WireError, OSError):
+                status = None  # closed without an answer
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            writer.join(timeout=5.0)
+            sock.close()
+            proxy.stop()
+        assert elapsed < 1.5
+        assert status in (400, None)
+        log = proxy.degradations
+        assert log.of_kind("bad-peer") or log.of_kind("stall")
+
     def test_no_budget_keeps_the_per_recv_semantics(self):
         # A trickled but terminating head still parses when no overall
         # budget is set (the pre-existing behaviour).
@@ -336,6 +375,32 @@ class TestBadPeer:
             assert body.startswith(b"#EXTM3U")
         finally:
             proxy.stop()
+
+    def test_malformed_content_length_kills_no_origin_worker(self, origin):
+        # A framing lie is a WireError the worker handles: the origin
+        # drops the connection, and no exception escapes its thread.
+        raised = []
+        previous_hook = threading.excepthook
+        threading.excepthook = raised.append
+        try:
+            before = set(threading.enumerate())
+            for value in ("abc", "-5"):
+                with socket.create_connection(
+                    origin.address, timeout=5.0
+                ) as sock:
+                    sock.sendall(
+                        b"POST /p HTTP/1.1\r\nContent-Length: "
+                        + value.encode("ascii")
+                        + b"\r\n\r\n"
+                    )
+                    assert sock.recv(1024) == b""
+            # A thread's excepthook runs before it leaves enumerate().
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=5.0)
+        finally:
+            threading.excepthook = previous_hook
+        assert raised == []
+        assert origin.uploads == {}
 
     def test_unreachable_origin_gets_502(self):
         probe = socket.socket()
