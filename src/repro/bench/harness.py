@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.scenarios import run_engine_scale, run_fleet_scale
+from repro.netsim.stochastic import reset_draw_memo
 
 #: Fractional slowdown of ``normalized`` that fails the CI gate.
 REGRESSION_THRESHOLD = 0.25
@@ -138,6 +139,9 @@ def measure_benchmark(
     calibrations: List[float] = []
     workload: Dict[str, Any] = {}
     for _ in range(repeats):
+        # Every repeat starts from an empty draw memo, as a fresh
+        # process would, so the minimum never times a warm memo.
+        reset_draw_memo()
         spin = calibration_seconds()
         elapsed, workload = runner_fn()
         calibrations.append(spin)

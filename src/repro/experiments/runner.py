@@ -178,21 +178,26 @@ class ResultCache:
             tmp.replace(path)
 
 
-def _reset_entity_ids() -> None:
-    """Restart the process-global entity id streams.
+def _reset_process_state() -> None:
+    """Restart the process-global entity id streams and draw memo.
 
     Transaction/flow/device ids leak into trace exports (``txn-N`` is a
     trace field), so an experiment's bytes must not depend on what else
     ran earlier in this process: every execution starts its id streams
-    at 1, exactly like a fresh interpreter.
+    at 1, exactly like a fresh interpreter. The capacity-process draw
+    memo never changes values, only cost; emptying it here keeps an
+    experiment's ``profile`` timings independent of execution order and
+    bounds the memo by one experiment's working set.
     """
     from repro.core.items import Transaction
     from repro.netsim.cellular import CellularDevice
     from repro.netsim.fluid import Flow
+    from repro.netsim.stochastic import reset_draw_memo
 
     Transaction._reset_ids()
     Flow._reset_ids()
     CellularDevice._reset_ids()
+    reset_draw_memo()
 
 
 def _execute(
@@ -207,7 +212,7 @@ def _execute(
     serial ones.
     """
     spec = registry.get(experiment_id)
-    _reset_entity_ids()
+    _reset_process_state()
     started = time.perf_counter()
     if trace:
         with capture() as instrumentation:

@@ -17,14 +17,22 @@ Two processes are provided:
   Ornstein-Uhlenbeck) process for slower load drift, still evaluated
   deterministically per interval by regenerating the chain from the most
   recent "anchor" interval.
+
+Both read their per-interval normal draws from one bounded module-level
+memo, :func:`_draw_block`, so links rebuilt from the same derived seeds
+(repetitions, policy sweeps, pre-buffer levels) share one set of draws.
+:func:`reset_draw_memo` empties it; the experiment runner does so before
+every experiment.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.util.validate import check_fraction, check_non_negative, check_positive
 
@@ -36,12 +44,37 @@ def _interval_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-#: Intervals sampled per batch when a process caches factors. The stepper
-#: consumes fading intervals densely (it stops at every capacity-change
-#: boundary), so small blocks amortize the per-interval ``Generator``
-#: construction and the transcendental math without sampling far past the
-#: simulated horizon.
+#: Intervals per memo block. The stepper consumes fading intervals densely
+#: (it stops at every capacity-change boundary), so small blocks amortize
+#: the memo lookup and the ``exp``/clip post-processing without sampling
+#: far past the simulated horizon.
 _SAMPLE_BLOCK = 8
+
+#: Blocks the draw memo holds before it evicts the least recently used.
+#: One quick-profile experiment touches at most a few hundred blocks;
+#: the bound caps a long full-size run at a few megabytes.
+_MEMO_BLOCKS = 16384
+
+
+@functools.lru_cache(maxsize=_MEMO_BLOCKS)
+def _draw_block(seed: int, start: int, sigma: float) -> NDArray[np.float64]:
+    """Normal(0, ``sigma``) draws for intervals ``start .. start+B-1``.
+
+    Interval ``k``'s draw comes from its own ``_interval_rng(seed, k)``
+    generator (the derivation the traces pin), so a block holds exactly
+    the values the per-interval draws would give. The array is shared by
+    every caller with the same key and is therefore read-only.
+    """
+    draws = np.empty(_SAMPLE_BLOCK)
+    for offset in range(_SAMPLE_BLOCK):
+        draws[offset] = _interval_rng(seed, start + offset).normal(0.0, sigma)
+    draws.flags.writeable = False
+    return draws
+
+
+def reset_draw_memo() -> None:
+    """Empty the shared draw memo (values are unaffected, only cost)."""
+    _draw_block.cache_clear()
 
 
 class CapacityProcess:
@@ -68,23 +101,6 @@ class CapacityProcess:
         """Multiplicative factor in effect at ``time``."""
         return self.factor_for_interval(self.interval_index(time))
 
-    def warm(self, start: float, end: float) -> int:
-        """Pre-sample every interval overlapping ``[start, end]``.
-
-        Batch-fills the memo caches ahead of a run so the stepper's
-        per-boundary ``factor_at`` queries become dictionary hits; the
-        factors are pure functions of ``(seed, index)``, so warming never
-        changes values, only when they are computed. Returns the number
-        of intervals covered.
-        """
-        if end < start:
-            raise ValueError(f"warm window reversed: {start} > {end}")
-        first = self.interval_index(start)
-        last = self.interval_index(end)
-        for index in range(first, last + 1):
-            self.factor_for_interval(index)
-        return last - first + 1
-
 
 class ConstantProcess(CapacityProcess):
     """Degenerate process: the factor is always ``value``."""
@@ -104,16 +120,15 @@ class LognormalProcess(CapacityProcess):
     """I.i.d. lognormal factors with unit median and spread ``sigma``.
 
     ``sigma`` is the standard deviation of the underlying normal in log
-    space: 0.0 degenerates to a constant 1.0; ~0.3 reproduces the
-    throughput spread the paper's violin plots (Fig 5) show within one base
-    station; the factor is clipped to ``[floor, ceiling]`` to keep the
-    fluid solver away from pathological near-zero capacities.
+    space: 0.0 degenerates to a constant 1.0 (still clipped); ~0.3
+    reproduces the throughput spread the paper's violin plots (Fig 5) show
+    within one base station; the factor is clipped to ``[floor, ceiling]``
+    to keep the fluid solver away from pathological near-zero capacities.
 
-    Factors are memoized and sampled in blocks of ``_SAMPLE_BLOCK``
-    intervals: each interval's draw still comes from its own
-    ``_interval_rng(seed, index)`` generator (the derivation the traces
-    pin), only the ``exp``/clip post-processing is batched — elementwise
-    float64 ops, bit-identical to the scalar originals.
+    Factor ``k`` is ``clip(exp(_interval_rng(seed, k).normal(0, sigma)))``.
+    The draws come from the shared memo a block at a time; ``exp`` and
+    the clip run on the block array (elementwise float64, bit-identical
+    to the scalar forms) and the factors are kept per instance.
     """
 
     def __init__(
@@ -134,7 +149,9 @@ class LognormalProcess(CapacityProcess):
 
     def factor_for_interval(self, index: int) -> float:
         if self.sigma == 0.0:
-            return 1.0
+            return min(max(1.0, self.floor), self.ceiling)
+        if index < 0:
+            index = 0
         cached = self._cache.get(index)
         if cached is not None:
             return cached
@@ -143,12 +160,7 @@ class LognormalProcess(CapacityProcess):
     def _sample_block(self, index: int) -> float:
         """Sample the whole block containing ``index``; return its factor."""
         start = (index // _SAMPLE_BLOCK) * _SAMPLE_BLOCK
-        draws = np.empty(_SAMPLE_BLOCK)
-        for offset in range(_SAMPLE_BLOCK):
-            draws[offset] = _interval_rng(self.seed, start + offset).normal(
-                0.0, self.sigma
-            )
-        factors = np.exp(draws)
+        factors = np.exp(_draw_block(self.seed, start, self.sigma))
         np.clip(factors, self.floor, self.ceiling, out=factors)
         cache = self._cache
         for offset in range(_SAMPLE_BLOCK):
@@ -160,8 +172,9 @@ class MeanRevertingProcess(CapacityProcess):
     """AR(1) process reverting to ``mean`` with rate ``reversion``.
 
     ``x[k] = x[k-1] + reversion * (mean - x[k-1]) + noise[k]`` where the
-    noise for interval ``k`` is a pure function of ``(seed, k)``. To keep
-    lazy evaluation cheap the chain is re-anchored every ``anchor_every``
+    noise for interval ``k`` is ``_interval_rng(seed, k).normal(0,
+    noise_sigma)``, read from the shared draw memo. To keep lazy
+    evaluation cheap the chain is re-anchored every ``anchor_every``
     intervals: interval ``k`` is computed by running the recursion forward
     from the nearest anchor below ``k`` (anchors start at the mean).
     """
@@ -198,9 +211,7 @@ class MeanRevertingProcess(CapacityProcess):
             return cached
         anchor = (index // self.anchor_every) * self.anchor_every
         # Resume from the deepest already-cached interval in this anchor
-        # span rather than re-running the whole chain, then batch the noise
-        # draws for the remaining gap (one generator per interval — the
-        # derivation the traces pin — but a single pass of Python overhead).
+        # span rather than re-running the whole chain.
         start = anchor
         value = self.mean
         for k in range(index, anchor - 1, -1):
@@ -209,13 +220,10 @@ class MeanRevertingProcess(CapacityProcess):
                 start = k + 1
                 value = prev
                 break
-        noise = np.empty(index + 1 - start)
-        for offset, k in enumerate(range(start, index + 1)):
-            noise[offset] = _interval_rng(self.seed, k).normal(
-                0.0, self.noise_sigma
-            )
         cache = self._cache
-        for offset, k in enumerate(range(start, index + 1)):
+        for k in range(start, index + 1):
+            offset = k % _SAMPLE_BLOCK
+            noise = _draw_block(self.seed, k - offset, self.noise_sigma)
             value = value + self.reversion * (self.mean - value) + float(
                 noise[offset]
             )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netsim import stochastic
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
 from repro.util.units import mbps
 
@@ -25,3 +26,19 @@ def quiet_location():
 def household(quiet_location):
     """A two-phone household at the quiet location."""
     return Household(quiet_location, HouseholdConfig(n_phones=2, seed=42))
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """(seed, index) of every per-interval generator built, memo emptied."""
+    stochastic.reset_draw_memo()
+    built = []
+    original = stochastic._interval_rng
+
+    def counting(seed, index):
+        built.append((seed, index))
+        return original(seed, index)
+
+    monkeypatch.setattr(stochastic, "_interval_rng", counting)
+    yield built
+    stochastic.reset_draw_memo()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import cli
+from repro.bench import cli, harness
 from repro.bench.harness import (
     BENCH_FILENAMES,
     BENCHMARKS,
@@ -13,6 +13,7 @@ from repro.bench.harness import (
     measure_benchmark,
 )
 from repro.bench.scenarios import run_engine_scale
+from repro.netsim.stochastic import LognormalProcess
 
 
 def _record(normalized, median=None, workload=None):
@@ -50,6 +51,21 @@ class TestMeasureBenchmark:
         assert ratios["min"] == record["normalized"]
         assert ratios["min"] <= ratios["median"]
         assert record["workload"]["flows_completed"] == 300.0
+
+    def test_every_repeat_starts_from_an_empty_draw_memo(
+        self, generators, monkeypatch
+    ):
+        per_repeat = []
+
+        def scenario():
+            del generators[:]
+            LognormalProcess(seed=5, interval=1.0, sigma=0.3).factor_at(3.0)
+            per_repeat.append(len(generators))
+            return {"steps": 1.0}
+
+        monkeypatch.setattr(harness, "run_engine_scale", scenario)
+        measure_benchmark("engine-scale", repeats=3)
+        assert per_repeat == [8, 8, 8]
 
     def test_every_benchmark_has_a_filename(self):
         assert set(BENCH_FILENAMES) == set(BENCHMARKS)

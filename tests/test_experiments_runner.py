@@ -52,6 +52,16 @@ class TestSerial:
         with pytest.raises(registry.UnknownExperimentError):
             _run(["sec21", "fig99"])
 
+    def test_draw_memo_is_scoped_to_one_experiment(self, generators):
+        # A memo warmed by an earlier run must not make a later run of
+        # the same experiment cheaper: the runner empties it per run.
+        counts = []
+        for _ in range(2):
+            del generators[:]
+            assert _run(["fig06"])[0].ok
+            counts.append(len(generators))
+        assert counts[0] == counts[1] > 0
+
     def test_overrides_reach_run(self):
         outcome = _run(
             ["fig10"], overrides={"fig10": {"n_users": 123}}

@@ -2,13 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.netsim import stochastic
 from repro.netsim.stochastic import (
     ConstantProcess,
     LognormalProcess,
     MeanRevertingProcess,
+    reset_draw_memo,
 )
+
+
+def _draw(seed, index, sigma):
+    """The oracle: one fresh generator, one normal draw."""
+    return stochastic._interval_rng(seed, index).normal(0.0, sigma)
 
 
 class TestConstantProcess:
@@ -44,6 +52,21 @@ class TestLognormalProcess:
     def test_sigma_zero_is_identity(self):
         process = LognormalProcess(seed=1, interval=1.0, sigma=0.0)
         assert process.factor_at(3.3) == 1.0
+
+    def test_sigma_zero_is_still_clipped(self):
+        raised = LognormalProcess(
+            seed=1, interval=1.0, sigma=0.0, floor=1.5, ceiling=2.0
+        )
+        lowered = LognormalProcess(
+            seed=1, interval=1.0, sigma=0.0, floor=0.1, ceiling=0.5
+        )
+        assert raised.factor_at(3.3) == 1.5
+        assert lowered.factor_at(3.3) == 0.5
+
+    def test_negative_index_clamps(self):
+        process = LognormalProcess(seed=4, interval=1.0, sigma=0.3)
+        first = process.factor_for_interval(0)
+        assert process.factor_for_interval(-1) == first
 
     def test_interval_boundaries(self):
         process = LognormalProcess(seed=5, interval=4.0, sigma=0.3)
@@ -86,3 +109,82 @@ class TestMeanRevertingProcess:
     def test_negative_index_clamps(self):
         process = MeanRevertingProcess(seed=4, interval=1.0)
         assert process.factor_for_interval(-3) == process.factor_for_interval(0)
+
+
+class TestDrawMemo:
+    def test_second_lognormal_instance_builds_no_generators(self, generators):
+        first = LognormalProcess(seed=11, interval=1.0, sigma=0.3)
+        values = [first.factor_for_interval(k) for k in range(20)]
+        assert len(generators) == 24  # three blocks of eight
+        second = LognormalProcess(seed=11, interval=1.0, sigma=0.3)
+        assert [second.factor_for_interval(k) for k in range(20)] == values
+        assert len(generators) == 24
+
+    def test_second_mean_reverting_instance_builds_no_generators(
+        self, generators
+    ):
+        first = MeanRevertingProcess(seed=11, interval=1.0)
+        value = first.factor_for_interval(20)
+        built = len(generators)
+        second = MeanRevertingProcess(seed=11, interval=1.0)
+        assert second.factor_for_interval(20) == value
+        assert len(generators) == built
+
+    def test_reset_restarts_the_count(self, generators):
+        LognormalProcess(seed=11, interval=1.0, sigma=0.3).factor_at(5.0)
+        assert len(generators) == 8
+        reset_draw_memo()
+        LognormalProcess(seed=11, interval=1.0, sigma=0.3).factor_at(5.0)
+        assert len(generators) == 16
+        assert generators[:8] == generators[8:]
+
+    def test_distinct_sigma_is_a_distinct_key(self, generators):
+        LognormalProcess(seed=11, interval=1.0, sigma=0.3).factor_at(0.0)
+        LognormalProcess(seed=11, interval=1.0, sigma=0.2).factor_at(0.0)
+        assert len(generators) == 16
+
+    def test_memo_is_bounded(self):
+        info = stochastic._draw_block.cache_info()
+        assert info.maxsize == stochastic._MEMO_BLOCKS
+
+    def test_shared_blocks_are_read_only(self):
+        block = stochastic._draw_block(11, 0, 0.3)
+        with pytest.raises(ValueError):
+            block[0] = 0.0
+
+    def test_lognormal_matches_per_interval_oracle(self):
+        sigma, floor, ceiling = 0.6, 0.3, 1.3
+        process = LognormalProcess(
+            seed=21, interval=1.0, sigma=sigma, floor=floor, ceiling=ceiling
+        )
+        for k in (37, 3, 0, 8, 15, 16, 63):
+            expected = np.clip(np.exp(_draw(21, k, sigma)), floor, ceiling)
+            assert process.factor_for_interval(k) == expected
+
+    def test_mean_reverting_matches_oracle_across_anchors(self):
+        mean, reversion, sigma, floor, ceiling = 1.0, 0.3, 0.2, 0.4, 1.6
+        anchor_every = 12
+        process = MeanRevertingProcess(
+            seed=21,
+            interval=1.0,
+            mean=mean,
+            reversion=reversion,
+            noise_sigma=sigma,
+            floor=floor,
+            ceiling=ceiling,
+            anchor_every=anchor_every,
+        )
+        expected = []
+        value = mean
+        for k in range(40):
+            if k % anchor_every == 0:
+                value = mean
+            value = value + reversion * (mean - value) + float(
+                _draw(21, k, sigma)
+            )
+            value = min(max(value, floor), ceiling)
+            expected.append(value)
+        # Out of order: mid-span first, then across every anchor boundary.
+        for k in (30, 5, 11, 12, 13, 23, 24, 39, 0):
+            assert process.factor_for_interval(k) == expected[k]
+        assert [process.factor_for_interval(k) for k in range(40)] == expected
