@@ -36,7 +36,6 @@ from repro.netsim.topology import (
     Household,
     HouseholdConfig,
     LocationProfile,
-    location_by_name,
 )
 from repro.web.hls import BIPBOP_QUALITIES, make_bipbop_video
 from repro.web.upload import Photo
@@ -55,7 +54,6 @@ __all__ = [
     "Household",
     "HouseholdConfig",
     "LocationProfile",
-    "location_by_name",
     "BIPBOP_QUALITIES",
     "make_bipbop_video",
     "Photo",

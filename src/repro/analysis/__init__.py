@@ -5,18 +5,12 @@ back-of-envelope, and the §6 trace-driven load analyses.
 from repro.analysis.stats import (
     Ecdf,
     ViolinSummary,
-    speedup,
     summarize_violin,
 )
 from repro.analysis.capacity import (
     CapacityComparison,
     CellAreaAssumptions,
     compare_capacity,
-)
-from repro.analysis.economics import (
-    GuardEconomics,
-    cheapest_guard,
-    price_guard_settings,
 )
 from repro.analysis.load import (
     AdoptionImpact,
@@ -30,14 +24,10 @@ from repro.analysis.load import (
 __all__ = [
     "Ecdf",
     "ViolinSummary",
-    "speedup",
     "summarize_violin",
     "CapacityComparison",
     "CellAreaAssumptions",
     "compare_capacity",
-    "GuardEconomics",
-    "cheapest_guard",
-    "price_guard_settings",
     "AdoptionImpact",
     "OnloadLoadSeries",
     "UserSpeedup",

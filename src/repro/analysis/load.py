@@ -27,6 +27,7 @@ import numpy as np
 from repro.netsim.diurnal import MOBILE_PROFILE, WIRED_PROFILE, DiurnalProfile
 from repro.traces.dslam import DslamTrace
 from repro.traces.mno import MnoDataset
+from repro.util.stats import ordered_sum
 from repro.util.units import MB, bytes_to_bits, mbps, transfer_seconds
 from repro.util.validate import check_fraction, check_non_negative, check_positive
 
@@ -242,7 +243,8 @@ def adoption_traffic_increase(
     check_non_negative("daily_3gol_bytes", daily_3gol_bytes)
     n_users = len(dataset.users)
     total_daily_existing = (
-        sum(u.monthly_usage_bytes[-1] for u in dataset.users) / 30.0
+        ordered_sum(u.monthly_usage_bytes[-1] for u in dataset.users)
+        / 30.0
     )
     if total_daily_existing <= 0.0:
         raise ValueError("dataset has no existing traffic")

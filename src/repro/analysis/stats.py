@@ -96,20 +96,6 @@ def summarize_violin(samples: Sequence[float], bins: int = 12) -> ViolinSummary:
     )
 
 
-def speedup(baseline: float, improved: float) -> float:
-    """How many times faster ``improved`` is than ``baseline``.
-
-    Both are durations: ``speedup(41, 11) == 3.7…``. Raises on
-    non-positive inputs — a zero-duration transfer indicates a harness bug.
-    """
-    if baseline <= 0.0 or improved <= 0.0:
-        raise ValueError(
-            f"durations must be positive (baseline={baseline}, "
-            f"improved={improved})"
-        )
-    return baseline / improved
-
-
 def reduction_percent(baseline: float, improved: float) -> float:
     """Percentage reduction of ``improved`` relative to ``baseline``."""
     if baseline <= 0.0:

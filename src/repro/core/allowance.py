@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.util.stats import ordered_sum
 from repro.util.validate import check_non_negative
 
 #: The paper's chosen history window (months) and guard multiplier.
@@ -71,9 +72,11 @@ class AllowanceEstimator:
             raise ValueError("need at least one month of usage history")
         window = [float(u) for u in usage_history_bytes[-self.tau:]]
         free = [max(0.0, cap_bytes - usage) for usage in window]
-        mean = sum(free) / len(free)
+        mean = ordered_sum(free) / len(free)
         if len(free) > 1:
-            variance = sum((f - mean) ** 2 for f in free) / (len(free) - 1)
+            variance = ordered_sum((f - mean) ** 2 for f in free) / (
+                len(free) - 1
+            )
         else:
             variance = 0.0
         stdev = math.sqrt(variance)
@@ -149,7 +152,7 @@ def evaluate_estimator(
         )
     return EstimatorEvaluation(
         utilization_of_free=(total_granted / total_free) if total_free else 0.0,
-        overrun_days_per_month=sum(overrun_days) / user_months,
+        overrun_days_per_month=ordered_sum(overrun_days) / user_months,
         overrun_month_fraction=overrun_months / user_months,
         user_months=user_months,
     )

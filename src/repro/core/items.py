@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro.util.stats import ordered_sum
 from repro.util.units import bytes_to_megabytes
 from repro.util.validate import check_positive
 
@@ -77,7 +78,7 @@ class Transaction:
     @property
     def total_bytes(self) -> float:
         """Sum of item sizes."""
-        return sum(item.size_bytes for item in self.items)
+        return ordered_sum(item.size_bytes for item in self.items)
 
     @property
     def max_item_bytes(self) -> float:
@@ -98,7 +99,7 @@ class Transaction:
         )
 
 
-def items_from_sizes(
+def items_from_sizes(  # repro-lint: disable=RL014  # b: test fixtures
     sizes: Sequence[float], prefix: str = "item"
 ) -> List[TransferItem]:
     """Convenience: build items labelled ``prefix-0…`` from raw sizes."""
@@ -108,39 +109,3 @@ def items_from_sizes(
         TransferItem(label=f"{prefix}-{i}", size_bytes=float(size))
         for i, size in enumerate(sizes)
     ]
-
-
-def items_from_file(
-    url: str, size_bytes: float, chunk_bytes: float = 1_000_000.0
-) -> List[TransferItem]:
-    """Split one large object into HTTP Range-request items.
-
-    HLS hands the scheduler natural items (segments); a plain file does
-    not, but any server supporting Range requests can serve byte windows
-    in parallel — this is how 3GOL boosts a single big download. Each
-    item's metadata carries the ``(range_start, range_end)`` pair
-    (inclusive-exclusive) a client would put in the Range header.
-    """
-    check_positive("size_bytes", size_bytes)
-    check_positive("chunk_bytes", chunk_bytes)
-    if not url:
-        raise ValueError("url must be non-empty")
-    items: List[TransferItem] = []
-    offset = 0.0
-    index = 0
-    while offset < size_bytes:
-        end = min(offset + chunk_bytes, size_bytes)
-        items.append(
-            TransferItem(
-                label=f"{url}#range-{index}",
-                size_bytes=end - offset,
-                metadata={
-                    "url": url,
-                    "range_start": int(offset),
-                    "range_end": int(end),
-                },
-            )
-        )
-        offset = end
-        index += 1
-    return items

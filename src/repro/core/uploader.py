@@ -20,6 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.netsim.fluid import FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.obs.capture import Instrumentation
+from repro.util.stats import ordered_sum
 from repro.web.upload import MultipartUpload, Photo
 
 
@@ -93,7 +94,7 @@ class MultipartUploader:
             guard.finalize(result)
         return UploadReport(
             photo_count=len(photos),
-            payload_bytes=sum(photo.size_bytes for photo in photos),
+            payload_bytes=ordered_sum(photo.size_bytes for photo in photos),
             total_time=result.total_time,
             result=result,
         )

@@ -22,6 +22,7 @@ from repro.core.allowance import EstimatorEvaluation, evaluate_estimator
 from repro.experiments.registry import experiment, jsonable
 from repro.traces.mno import MnoDataset, generate_mno_dataset
 from repro.util.formatting import fmt, render_table
+from repro.util.stats import ordered_sum
 
 DEFAULT_TAUS: Tuple[int, ...] = (2, 3, 5, 8)
 DEFAULT_ALPHAS: Tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 6.0)
@@ -57,7 +58,7 @@ def _evaluate_min_of_window(
             user_months += 1
     return EstimatorEvaluation(
         utilization_of_free=total_granted / total_free if total_free else 0.0,
-        overrun_days_per_month=sum(overrun_days) / user_months,
+        overrun_days_per_month=ordered_sum(overrun_days) / user_months,
         overrun_month_fraction=overruns / user_months,
         user_months=user_months,
     )

@@ -18,6 +18,7 @@ from repro.analysis.stats import Ecdf
 from repro.experiments.registry import experiment, jsonable
 from repro.traces.dslam import generate_dslam_trace
 from repro.util.formatting import fmt, render_table
+from repro.util.stats import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -95,5 +96,5 @@ def run(
         fraction_at_least_1_2=ecdf.fraction_at_least(1.2),
         fraction_at_least_2_0=ecdf.fraction_at_least(2.0),
         max_speedup=max(values),
-        mean_onloaded_mb=sum(onloaded) / len(onloaded) / 1e6,
+        mean_onloaded_mb=ordered_sum(onloaded) / len(onloaded) / 1e6,
     )

@@ -219,7 +219,9 @@ def get(experiment_id: str) -> ExperimentSpec:
 
 
 @contextlib.contextmanager
-def temporary_experiment(spec: ExperimentSpec) -> Iterator[ExperimentSpec]:
+def temporary_experiment(  # repro-lint: disable=RL014  # b: test seam
+    spec: ExperimentSpec,
+) -> Iterator[ExperimentSpec]:
     """Register ``spec`` for the duration of a ``with`` block (tests)."""
     register(spec)
     try:

@@ -15,11 +15,9 @@ as the real prototype's parallel GETs did).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.mobile import OperatingMode
 from repro.core.session import OnloadSession
-from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
+from repro.netsim.topology import LocationProfile
 from repro.pilot.simulation import wild_config
 from repro.util.rng import RngFactory
 
@@ -58,8 +56,3 @@ def make_session(
         for phone in session.household.phones:
             phone.radio.force_connected(now)
     return session
-
-
-def eval_locations() -> Sequence[LocationProfile]:
-    """The five Table 4 locations."""
-    return EVALUATION_LOCATIONS

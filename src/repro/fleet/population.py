@@ -15,7 +15,6 @@ reduction to be exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -153,17 +152,6 @@ class Population:
         k = int(round(self.params.n_households * adoption))
         mask: NDArray[np.bool_] = self.adoption_rank < k
         return mask
-
-    @property
-    def total_demand_bytes(self) -> int:
-        """Whole-city daily demand, integer bytes."""
-        return int(self.demand.sum())
-
-    def sectors_of_shard(self, n_shards: int, shard: int) -> Tuple[int, ...]:
-        """Sectors owned by ``shard`` under round-robin partitioning."""
-        if not 0 <= shard < n_shards:
-            raise ValueError(f"shard {shard} outside [0, {n_shards})")
-        return tuple(range(shard, self.params.n_sectors, n_shards))
 
 
 def sample_population(params: FleetParameters) -> Population:

@@ -36,7 +36,9 @@ class CorpusCase:
     payload: bytes
 
 
-def save_case(case: CorpusCase, root: Path) -> Path:
+def save_case(  # repro-lint: disable=RL014  # b: writes corpus fixtures
+    case: CorpusCase, root: Path
+) -> Path:
     """Write one case (payload + manifest entry) under ``root``.
 
     ``root`` is the corpus root (the directory holding one subdirectory
@@ -59,7 +61,7 @@ def save_case(case: CorpusCase, root: Path) -> Path:
     return payload_path
 
 
-def load_corpus(
+def load_corpus(  # repro-lint: disable=RL014  # b: corpus replay seam
     root: Path, target: Optional[str] = None
 ) -> Tuple[CorpusCase, ...]:
     """Load every pinned case under ``root`` (optionally one target's)."""
@@ -88,7 +90,9 @@ def load_corpus(
     return tuple(cases)
 
 
-def replay_case(case: CorpusCase) -> Optional[str]:
+def replay_case(  # repro-lint: disable=RL014  # b: corpus replay seam
+    case: CorpusCase,
+) -> Optional[str]:
     """Replay one case against its target.
 
     Returns ``None`` when the case replays clean (parsed, or rejected

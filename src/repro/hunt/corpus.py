@@ -46,7 +46,9 @@ class ScenarioCase:
     scenario: Scenario
 
 
-def save_case(case: ScenarioCase, root: Path) -> Path:
+def save_case(  # repro-lint: disable=RL014  # b: writes corpus fixtures
+    case: ScenarioCase, root: Path
+) -> Path:
     """Write one case (spec + manifest entry) under ``root``.
 
     ``root`` is the scenario-corpus directory itself (it holds the

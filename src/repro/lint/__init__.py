@@ -23,7 +23,10 @@ and dataflow summaries (:mod:`repro.lint.graph`,
 * **RL010** — CapTracker/PermitServer mutations happen only in the
   guard layer (the static twin of the hunt's authority oracle);
 * **RL011** — only ProtocolError escapes wire parse paths, proven
-  across call boundaries.
+  across call boundaries;
+* **RL013** — imports go down the documented layer table;
+* **RL014** — every public top-level function and class has a user in
+  the tree (whole-package runs only).
 
 Run it with the ``repro-lint`` console script (see
 :mod:`repro.lint.cli`), or programmatically via :func:`lint_source` /

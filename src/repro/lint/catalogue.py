@@ -21,7 +21,9 @@ from repro.lint.core import (
 __all__ = ["count_suppressions", "rule_table"]
 
 
-def count_suppressions(paths: Sequence[str]) -> Dict[str, int]:
+def count_suppressions(  # repro-lint: disable=RL014  # c: README table
+    paths: Sequence[str],
+) -> Dict[str, int]:
     """Per-rule count of ``# repro-lint: disable=`` comments under ``paths``.
 
     A blanket ``disable`` (no codes) is counted under ``"*"``. Only the
@@ -40,7 +42,7 @@ def count_suppressions(paths: Sequence[str]) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def rule_table(
+def rule_table(  # repro-lint: disable=RL014  # c: README table
     suppression_counts: Optional[Mapping[str, int]] = None,
 ) -> str:
     """The rule catalogue as a markdown table.

@@ -199,6 +199,14 @@ class ProjectRule(Rule):
         """Project rules have no per-module check."""
         return iter(())
 
+    def judges(self, project: "ProjectContext") -> bool:
+        """Whether ``project`` is enough of the tree for this rule.
+
+        A rule that answers False is skipped for the run, and its
+        suppression comments are not audited either.
+        """
+        return True
+
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         """Yield every violation found across the project."""
         raise NotImplementedError
@@ -370,7 +378,7 @@ def _parse_context(
     )
 
 
-def lint_source(
+def lint_source(  # repro-lint: disable=RL014  # b: test entry point
     source: str,
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
@@ -458,16 +466,18 @@ class _SuppressionLedger:
         return True
 
     def unused_findings(
-        self, active: Sequence[Rule]
+        self, active: Sequence[Rule], abstained: Set[str]
     ) -> Iterator[Finding]:
         """RL099 findings for comments that suppressed nothing.
 
-        A coded suppression is only judged when its rule actually ran;
-        a blanket ``disable`` is only judged when the *full* registry
-        ran (any narrower selection could be what it exists for).
+        A coded suppression is only judged when its rule actually ran
+        (was selected and did not abstain); a blanket ``disable`` is
+        only judged when the *full* registry was selected (any narrower
+        selection could be what it exists for).
         """
-        active_codes = {r.code for r in active}
-        full_run = active_codes >= {r.code for r in all_rules()}
+        selected = {r.code for r in active}
+        full_run = selected >= {r.code for r in all_rules()}
+        active_codes = selected - abstained
         for path in sorted(self.declared):
             for line, codes in sorted(self.declared[path].items()):
                 used_here = self.used.get(path, {}).get(line, set())
@@ -509,6 +519,8 @@ def _lint_modules(
     project_rules = tuple(r for r in active if r.project_level)
     run = LintRun()
     ledger = _SuppressionLedger()
+    #: Project rules that declined to judge this tree (partial runs).
+    abstained: Set[str] = set()
     contexts: List[ModuleContext] = []
     timings: Dict[str, float] = {}
     for path, source in items:
@@ -540,6 +552,9 @@ def _lint_modules(
         project = ProjectContext.from_contexts(contexts)
         timings["project-graph"] = time.perf_counter() - build_started
         for active_rule in project_rules:
+            if not active_rule.judges(project):
+                abstained.add(active_rule.code)
+                continue
             rule_started = time.perf_counter()
             for finding in active_rule.check_project(project):
                 if not ledger.filter(finding):
@@ -553,7 +568,7 @@ def _lint_modules(
         # Meta-findings bypass the suppression filter: a blanket
         # `disable` must not be able to silence the warning that it is
         # itself dead.
-        run.findings.extend(ledger.unused_findings(active))
+        run.findings.extend(ledger.unused_findings(active, abstained))
     run.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     run.rule_timings = dict(sorted(timings.items()))
     run.duration_s = time.perf_counter() - started
@@ -578,7 +593,7 @@ def lint_paths(
     )
 
 
-def lint_sources(
+def lint_sources(  # repro-lint: disable=RL014  # b: test entry point
     files: Mapping[str, str],
     rules: Optional[Sequence[Rule]] = None,
     warn_unused_suppressions: bool = False,

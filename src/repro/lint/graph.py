@@ -12,7 +12,8 @@ ASTs the engine already parsed:
   imports anywhere in its body (the raw material of RL013);
 * :class:`SymbolTable` — resolves a name used in one module to the
   function/class that defines it, following aliases, re-exports and
-  star imports across module boundaries (cycle-safe);
+  star imports across module boundaries (cycle-safe); RL014 resolves
+  every name the tree reads through it;
 * :class:`CallGraph` — one :class:`CallSite` per resolved call,
   annotated with the exception names the surrounding ``try`` blocks
   would catch (the raw material of the RL011 escape analysis).
@@ -118,11 +119,6 @@ class FunctionInfo:
     def name(self) -> str:
         """The bare function name."""
         return self.qualname.rsplit(".", 1)[-1]
-
-    @property
-    def is_method(self) -> bool:
-        """Whether the definition sits inside a class body."""
-        return bool(self.class_qualname)
 
     def param_names(self) -> Tuple[str, ...]:
         """Positional + keyword-only parameter names, ``self``/``cls`` kept."""
@@ -389,6 +385,12 @@ class SymbolTable:
                 return resolved
         return None
 
+    def resolve_from(
+        self, module_name: str, symbol: str
+    ) -> Optional[Tuple[str, object]]:
+        """Resolve what ``from module_name import symbol`` binds."""
+        return self._resolve_in(module_name, symbol, set())
+
     def _resolve_in(
         self, module_name: str, symbol: str, seen: Set[str]
     ) -> Optional[Tuple[str, object]]:
@@ -450,16 +452,6 @@ class SymbolTable:
     # ------------------------------------------------------------------
     # Class hierarchy
     # ------------------------------------------------------------------
-    def base_names(self, info: ClassInfo) -> Set[str]:
-        """Terminal identifiers of ``info``'s direct bases."""
-        names: Set[str] = set()
-        for base in info.base_nodes:
-            if isinstance(base, ast.Name):
-                names.add(base.id)
-            elif isinstance(base, ast.Attribute):
-                names.add(base.attr)
-        return names
-
     def ancestor_names(self, info: ClassInfo) -> Set[str]:
         """Terminal names of every ancestor reachable in the project.
 
@@ -542,10 +534,6 @@ class CallGraph:
         self._by_caller.setdefault(site.caller, []).append(site)
         if site.callee:
             self._by_callee.setdefault(site.callee, []).append(site)
-
-    def calls_from(self, qualname: str) -> Sequence[CallSite]:
-        """Every call site inside function ``qualname``."""
-        return self._by_caller.get(qualname, ())
 
     def callers_of(self, qualname: str) -> Sequence[CallSite]:
         """Every resolved call site targeting ``qualname``."""

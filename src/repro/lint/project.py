@@ -29,7 +29,6 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -922,13 +921,6 @@ class ProjectContext:
         for info in module.classes.values():
             for method in info.methods.values():
                 yield method
-
-    # ------------------------------------------------------------------
-    # Module lookup
-    # ------------------------------------------------------------------
-    def module_named(self, name: str) -> Optional[ModuleInfo]:
-        """The module with dotted name ``name`` (``None`` if absent)."""
-        return self.modules.get(name)
 
     # ------------------------------------------------------------------
     # Obs catalogue

@@ -1,4 +1,4 @@
-"""The cross-module rules: RL008-RL011 and RL013.
+"""The cross-module rules: RL008-RL011, RL013 and RL014.
 
 These run on the :class:`~repro.lint.project.ProjectContext` — the
 whole-tree symbol table, call graph and function summaries — instead of
@@ -17,11 +17,12 @@ types and opaque seed expressions all read as clean.
 
 from __future__ import annotations
 
+import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.core import Finding, ProjectRule, rule
-from repro.lint.graph import ImportEdge
-from repro.lint.project import EscapedRaise, ProjectContext, Provenance
+from repro.lint.graph import ImportEdge, ModuleInfo
+from repro.lint.project import EscapedRaise, ProjectContext
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -541,3 +542,195 @@ class ImportLayeringRule(ProjectRule):
                         line=edge.line,
                         col=0,
                     )
+
+
+
+# ---------------------------------------------------------------------------
+# RL014 — every public symbol has a user
+# ---------------------------------------------------------------------------
+
+#: The module whose ``ENTRY_POINTS`` table names the console scripts;
+#: ``main`` of each listed module is called from outside the tree.
+_ENTRY_POINT_MODULE = "repro.clidocs"
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _dotted_name(node: ast.AST) -> str:
+    """``a.b.c`` for a Name/Attribute chain, ``""`` for anything else."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _entry_point_mains(project: ProjectContext) -> Set[str]:
+    """``<module>.main`` for every module ``clidocs.ENTRY_POINTS`` lists,
+    read from the AST literal."""
+    module = project.modules.get(_ENTRY_POINT_MODULE)
+    node = module.assignments.get("ENTRY_POINTS") if module else None
+    if node is None:
+        return set()
+    try:
+        table = ast.literal_eval(node)
+    except (ValueError, SyntaxError):
+        return set()
+    return {f"{target}.main" for _script, target in table}
+
+
+class _References:
+    """Which top-level project symbols the linted tree uses.
+
+    ``qualnames`` holds uses resolved through the symbol table (names,
+    attribute chains, registering decorators, lazy import tables). ``bare`` holds attribute names read off receivers
+    the table cannot resolve (a module fetched by ``importlib``, or any
+    object); such a name counts as a use of every symbol so named,
+    unless a project class defines a member of that name, which
+    explains the read without it. Imports are not uses, so a package
+    ``__init__`` re-export is not.
+    """
+
+    def __init__(self, project: ProjectContext) -> None:
+        self.symbols = project.symbols
+        self.qualnames: Set[str] = _entry_point_mains(project)
+        self.bare: Set[str] = set()
+        for module in project.modules.values():
+            self._scan_module(module)
+        for info in project.class_by_qualname.values():
+            self.bare -= info.methods.keys() | info.attr_type_names.keys()
+
+    def uses(self, qualname: str) -> bool:
+        """Whether anything but the definition itself uses ``qualname``."""
+        return (
+            qualname in self.qualnames
+            or qualname.rsplit(".", 1)[-1] in self.bare
+        )
+
+    def _mark(self, resolved: Optional[Tuple[str, object]], own: str) -> None:
+        if resolved is not None and resolved[0] != "module":
+            qualname = getattr(resolved[1], "qualname", "")
+            if qualname != own:  # recursion is not a use
+                self.qualnames.add(qualname)
+
+    def _scan_module(self, module: ModuleInfo) -> None:
+        # A function-level ``from m import name`` binds nothing the
+        # module-level table sees; resolve those names through the edge.
+        local_imports = {
+            name: edge.module
+            for edge in module.import_edges
+            for name in edge.names
+        }
+        if "__getattr__" in module.functions:
+            self._scan_lazy_tables(module)
+        for statement in module.tree.body:
+            own = ""
+            if isinstance(statement, _DEFINITIONS):
+                own = f"{module.name}.{statement.name}"
+                if self._registers(module, statement):
+                    self.qualnames.add(own)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    resolved = self.symbols.resolve(module, node.id)
+                    if resolved is None and node.id in local_imports:
+                        resolved = self.symbols.resolve_from(
+                            local_imports[node.id], node.id
+                        )
+                    self._mark(resolved, own)
+                elif isinstance(node, ast.Attribute):
+                    self._scan_attribute(module, node, own)
+
+    def _registers(self, module: ModuleInfo, definition: ast.AST) -> bool:
+        # ``@experiment(...)`` / ``@rule``: a decorator the project
+        # itself defines registers what it decorates.
+        for decorator in getattr(definition, "decorator_list", ()):
+            if isinstance(decorator, ast.Call):
+                decorator = decorator.func
+            resolved = self.symbols.resolve_dotted(
+                module, _dotted_name(decorator)
+            )
+            if resolved is not None and resolved[0] == "function":
+                return True
+        return False
+
+    def _scan_attribute(
+        self, module: ModuleInfo, node: ast.Attribute, own: str
+    ) -> None:
+        dotted = _dotted_name(node)
+        if dotted and self.symbols.resolve(module, dotted.split(".")[0]):
+            self._mark(self.symbols.resolve_dotted(module, dotted), own)
+        else:
+            self.bare.add(node.attr)
+
+    def _scan_lazy_tables(self, module: ModuleInfo) -> None:
+        # A PEP 562 package's ``{"Name": "repro.pkg.module"}`` table
+        # names what its ``__getattr__`` imports on first access.
+        for value in module.assignments.values():
+            if not isinstance(value, ast.Dict):
+                continue
+            for key, target in zip(value.keys, value.values):
+                if (
+                    isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                    and isinstance(target, ast.Constant)
+                    and isinstance(target.value, str)
+                ):
+                    self._mark(
+                        self.symbols.resolve_from(target.value, key.value),
+                        "",
+                    )
+
+
+@rule
+class UnusedSymbolRule(ProjectRule):
+    """Every public top-level function and class has a user in the tree."""
+
+    code = "RL014"
+    title = "public functions and classes must have a user in src/"
+    rationale = (
+        "Code that only tests call still costs reading, upkeep and "
+        "review, and it drifts: nothing in the system would notice it "
+        "going wrong. A public module-level function or class that no "
+        "src/ code, registering decorator, lazy-import table or "
+        "console-script entry point uses is dead weight; delete it, or "
+        "suppress with the reason it stays (a reference implementation "
+        "tests compare production against, a test seam, or a doc "
+        "generator a test pins)."
+    )
+    scope = "src/repro (whole-tree runs only: needs repro/__init__.py)"
+
+    def judges(self, project: ProjectContext) -> bool:
+        """Only a run over the whole package can prove a symbol unused."""
+        return "repro" in project.modules
+
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        """Flag public top-level definitions nothing uses."""
+        references = _References(project)
+        for name, module in sorted(project.modules.items()):
+            for statement in module.tree.body:
+                if not isinstance(statement, _DEFINITIONS):
+                    continue
+                if statement.name.startswith("_"):
+                    continue
+                qualname = f"{name}.{statement.name}"
+                if references.uses(qualname):
+                    continue
+                kind = (
+                    "class"
+                    if isinstance(statement, ast.ClassDef)
+                    else "function"
+                )
+                yield Finding(
+                    code=self.code,
+                    message=(
+                        f"{kind} {statement.name!r} has no user in the "
+                        "linted tree (a package re-export is not a use); "
+                        "delete it, or suppress with the reason it stays"
+                    ),
+                    path=module.path,
+                    line=statement.lineno,
+                    col=statement.col_offset,
+                )

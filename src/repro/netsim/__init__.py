@@ -30,7 +30,7 @@ from repro.netsim.faults import (
 from repro.netsim.link import Link, PiecewiseLink, StochasticLink, TIME_INFINITY
 from repro.netsim.fluid import FluidNetwork, Flow, max_min_allocation
 from repro.netsim.path import NetworkPath
-from repro.netsim.adsl import AdslLine, sync_rate_for_distance
+from repro.netsim.adsl import AdslLine
 from repro.netsim.wifi import WifiNetwork, WIFI_80211G, WIFI_80211N
 from repro.netsim.radio import RrcState, RadioStateMachine, RrcParameters
 from repro.netsim.cellular import (
@@ -62,7 +62,6 @@ __all__ = [
     "max_min_allocation",
     "NetworkPath",
     "AdslLine",
-    "sync_rate_for_distance",
     "WifiNetwork",
     "WIFI_80211G",
     "WIFI_80211N",

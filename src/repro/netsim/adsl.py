@@ -1,16 +1,11 @@
 """ADSL access-line model.
 
-ADSL is the wired network 3GOL augments. Two properties drive the paper's
-motivation (§1, §2):
-
-* the sync rate falls with the copper distance between the customer and
-  the telephone exchange, so many lines run far below the nominal rate;
-* the uplink is roughly one tenth of the downlink, which cripples
-  applications that source content from the home.
-
-The line itself is dedicated (no sharing on the local loop), but the DSLAM
-uplink is oversubscribed; we expose both as simulator links so experiments
-can model contention at the DSLAM when they simulate many households.
+ADSL is the wired network 3GOL augments. The property that drives the
+paper's motivation (§1, §2) is the asymmetry: the uplink is roughly one
+tenth of the downlink, which cripples applications that source content
+from the home. The line itself is dedicated (no sharing on the local
+loop), so one line is a fixed downlink/uplink rate pair exposed as two
+simulator links.
 """
 
 from __future__ import annotations
@@ -19,44 +14,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.netsim.link import Link
-from repro.util.units import mbps
-from repro.util.validate import check_non_negative, check_positive
-
-#: Canonical ADSL2+ profile: nominal downlink sync at zero loop length.
-_ADSL2PLUS_MAX_DOWN_BPS = mbps(24.0)
-#: Distance (metres) at which the sync rate has fallen to roughly half.
-_HALF_RATE_DISTANCE_M = 2200.0
-#: Practical maximum loop length before the line cannot sync at all.
-_MAX_LOOP_M = 6000.0
-#: Uplink/downlink asymmetry the paper quotes ("1/10 asymmetry", §2.1).
-DEFAULT_ASYMMETRY = 0.1
-
-
-def sync_rate_for_distance(distance_m: float) -> float:
-    """Downlink sync rate (bits/second) for a copper loop of ``distance_m``.
-
-    A smooth attenuation curve fitted to published ADSL2+ reach/rate
-    tables: full rate near the exchange, ~50% at 2.2 km, negligible beyond
-    6 km. The exact curve is unimportant for the reproduction — only that
-    distance maps monotonically onto the sync-rate range the paper's
-    locations exhibit (2.8 … 24 Mbps).
-    """
-    distance_m = check_non_negative("distance_m", distance_m)
-    if distance_m >= _MAX_LOOP_M:
-        return 0.0
-    # Quadratic-in-distance attenuation in rate space; simple and monotone.
-    x = distance_m / _HALF_RATE_DISTANCE_M
-    rate = _ADSL2PLUS_MAX_DOWN_BPS / (1.0 + x * x)
-    return rate
+from repro.util.validate import check_positive
 
 
 @dataclass
 class AdslLine:
     """One subscriber line: fixed downlink/uplink rate pair.
 
-    Build either from measured speeds (``AdslLine(down_bps=…, up_bps=…)``,
-    as Table 2/Table 4 report) or from a loop length
-    (:meth:`from_distance`).
+    Built from measured speeds (``AdslLine(down_bps=…, up_bps=…)``), as
+    Table 2/Table 4 report them.
     """
 
     down_bps: float
@@ -84,22 +50,6 @@ class AdslLine:
                 f"{self.goodput_efficiency}"
             )
 
-    @classmethod
-    def from_distance(
-        cls,
-        distance_m: float,
-        asymmetry: float = DEFAULT_ASYMMETRY,
-        name: str = "adsl",
-    ) -> "AdslLine":
-        """Derive a line from loop length and up/down asymmetry."""
-        down = sync_rate_for_distance(distance_m)
-        if down <= 0.0:
-            raise ValueError(
-                f"loop of {distance_m} m cannot sync; max is {_MAX_LOOP_M} m"
-            )
-        check_positive("asymmetry", asymmetry)
-        return cls(down_bps=down, up_bps=down * asymmetry, name=name)
-
     @property
     def effective_down_bps(self) -> float:
         """Downlink TCP goodput."""
@@ -124,32 +74,3 @@ class AdslLine:
             self._up_link = Link(f"{self.name}-up", self.effective_up_bps)
         return self._up_link
 
-
-@dataclass(frozen=True)
-class Dslam:
-    """A DSLAM aggregating many subscriber lines.
-
-    ``subscriber_count`` and ``backhaul_bps`` feed the §2.1
-    back-of-envelope analysis and the §6 trace experiments; the backhaul
-    can also be materialised as a shared link for contention studies.
-    """
-
-    subscriber_count: int
-    backhaul_bps: float
-    name: str = "dslam"
-
-    def __post_init__(self) -> None:
-        if self.subscriber_count < 1:
-            raise ValueError(
-                f"subscriber_count must be >= 1, got {self.subscriber_count}"
-            )
-        check_positive("backhaul_bps", self.backhaul_bps)
-
-    def backhaul_link(self) -> Link:
-        """The shared DSLAM uplink as a simulator link."""
-        return Link(f"{self.name}-backhaul", self.backhaul_bps)
-
-    def oversubscription_ratio(self, line_rate_bps: float) -> float:
-        """Sum of line rates divided by backhaul capacity."""
-        check_positive("line_rate_bps", line_rate_bps)
-        return (self.subscriber_count * line_rate_bps) / self.backhaul_bps

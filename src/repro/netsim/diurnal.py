@@ -110,19 +110,6 @@ class DiurnalProfile:
 
         return free
 
-    def free_capacity_values(
-        self, peak_utilization: float, times_seconds: _ArrayLike
-    ) -> NDArray[np.float64]:
-        """Batch form of :meth:`free_capacity_curve`'s closure.
-
-        Elementwise bit-identical to calling the closure per time.
-        """
-        peak_utilization = check_fraction("peak_utilization", peak_utilization)
-        result: NDArray[np.float64] = 1.0 - peak_utilization * self.values_at(
-            times_seconds
-        )
-        return result
-
 
 def _bump(hour: float, center: float, width: float) -> float:
     """Periodic Gaussian bump on the 24-hour circle."""

@@ -28,7 +28,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 
 class SupportsNextChange(Protocol):
@@ -151,13 +151,6 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return self._live > 0
-
-
-def run_callback(event: ScheduledEvent) -> Any:
-    """Run a popped event's callback unless it was cancelled in the meantime."""
-    if not event.cancelled:
-        return event.callback()
-    return None
 
 
 class LinkChangeTracker:

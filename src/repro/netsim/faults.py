@@ -391,22 +391,3 @@ class FaultSchedule:
             )
             armed.append(event)
         return armed
-
-
-def downtime_fraction(
-    outages: Sequence[Outage], start: float, horizon: float, target: str
-) -> float:
-    """Fraction of ``[start, horizon)`` the target spends down.
-
-    An empty or inverted window (``horizon <= start``) contains no time
-    at all, so the downtime fraction is 0.0 — total, not an error, so
-    generated scenarios with degenerate horizons stay well-defined.
-    """
-    if horizon <= start:
-        return 0.0
-    total = sum(
-        max(0.0, min(o.end, horizon) - max(o.start, start))
-        for o in outages
-        if o.target == target
-    )
-    return total / (horizon - start)

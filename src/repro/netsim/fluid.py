@@ -187,7 +187,7 @@ class Flow:
         )
 
 
-def max_min_allocation(
+def max_min_allocation(  # repro-lint: disable=RL014  # a: oracle
     flows: Sequence[Flow], time: float
 ) -> Dict[Flow, float]:
     """Progressive-filling (water-filling) max-min fair rate allocation.

@@ -147,23 +147,6 @@ class StochasticLink(Link):
         return next_change
 
 
-def effective_chain_capacity(
-    links: Iterable["Link"], time: float
-) -> float:
-    """Capacity of a chain of links for a single flow at ``time``.
-
-    A lone flow on a series chain gets the minimum link capacity; used for
-    quick estimates (e.g. the MIN scheduler's initial guess and topology
-    sanity checks), not by the fluid solver itself.
-    """
-    capacity = math.inf
-    for link in links:
-        capacity = min(capacity, link.capacity_at(time))
-    if capacity is math.inf:
-        raise ValueError("chain must contain at least one link")
-    return capacity
-
-
 def validate_chain(links: Iterable[object]) -> Tuple["Link", ...]:
     """Validate and freeze a link chain; chains must be non-empty."""
     chain = tuple(links)

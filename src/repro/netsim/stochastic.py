@@ -9,17 +9,11 @@ is drawn. The factor for interval ``k`` is a pure function of
 ``(seed, k)``, so the process can be evaluated lazily, out of order, and is
 reproducible regardless of how the simulator happens to step through time.
 
-Two processes are provided:
-
-* :class:`LognormalProcess` — i.i.d. lognormal shadowing around 1.0, the
-  default model for fast fading / scheduler-share noise.
-* :class:`MeanRevertingProcess` — an AR(1) (discretised
-  Ornstein-Uhlenbeck) process for slower load drift, still evaluated
-  deterministically per interval by regenerating the chain from the most
-  recent "anchor" interval.
-
-Both read their per-interval normal draws from one bounded module-level
-memo, :func:`_draw_block`, so links rebuilt from the same derived seeds
+The model is :class:`LognormalProcess`: i.i.d. lognormal shadowing
+around 1.0 for fast fading / scheduler-share noise
+(:class:`ConstantProcess` is its degenerate fixed-factor twin). It reads
+its per-interval normal draws from one bounded module-level memo,
+:func:`_draw_block`, so links rebuilt from the same derived seeds
 (repetitions, policy sweeps, pre-buffer levels) share one set of draws.
 :func:`reset_draw_memo` empties it; the experiment runner does so before
 every experiment.
@@ -34,7 +28,7 @@ from typing import Dict
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.util.validate import check_fraction, check_non_negative, check_positive
+from repro.util.validate import check_non_negative, check_positive
 
 
 def _interval_rng(seed: int, index: int) -> np.random.Generator:
@@ -102,7 +96,9 @@ class CapacityProcess:
         return self.factor_for_interval(self.interval_index(time))
 
 
-class ConstantProcess(CapacityProcess):
+class ConstantProcess(  # repro-lint: disable=RL014  # b: test process
+    CapacityProcess
+):
     """Degenerate process: the factor is always ``value``."""
 
     def __init__(self, value: float = 1.0) -> None:
@@ -167,66 +163,3 @@ class LognormalProcess(CapacityProcess):
             cache[start + offset] = float(factors[offset])
         return cache[index]
 
-
-class MeanRevertingProcess(CapacityProcess):
-    """AR(1) process reverting to ``mean`` with rate ``reversion``.
-
-    ``x[k] = x[k-1] + reversion * (mean - x[k-1]) + noise[k]`` where the
-    noise for interval ``k`` is ``_interval_rng(seed, k).normal(0,
-    noise_sigma)``, read from the shared draw memo. To keep lazy
-    evaluation cheap the chain is re-anchored every ``anchor_every``
-    intervals: interval ``k`` is computed by running the recursion forward
-    from the nearest anchor below ``k`` (anchors start at the mean).
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        interval: float,
-        mean: float = 1.0,
-        reversion: float = 0.3,
-        noise_sigma: float = 0.1,
-        floor: float = 0.05,
-        ceiling: float = 4.0,
-        anchor_every: int = 256,
-    ) -> None:
-        super().__init__(seed, interval)
-        self.mean = check_positive("mean", mean)
-        self.reversion = check_fraction("reversion", reversion)
-        self.noise_sigma = check_non_negative("noise_sigma", noise_sigma)
-        self.floor = check_non_negative("floor", floor)
-        self.ceiling = check_positive("ceiling", ceiling)
-        if self.floor > self.ceiling:
-            raise ValueError("floor must not exceed ceiling")
-        if anchor_every < 1:
-            raise ValueError(f"anchor_every must be >= 1, got {anchor_every}")
-        self.anchor_every = int(anchor_every)
-        self._cache: dict[int, float] = {}
-
-    def factor_for_interval(self, index: int) -> float:
-        if index < 0:
-            index = 0
-        cached = self._cache.get(index)
-        if cached is not None:
-            return cached
-        anchor = (index // self.anchor_every) * self.anchor_every
-        # Resume from the deepest already-cached interval in this anchor
-        # span rather than re-running the whole chain.
-        start = anchor
-        value = self.mean
-        for k in range(index, anchor - 1, -1):
-            prev = self._cache.get(k)
-            if prev is not None:
-                start = k + 1
-                value = prev
-                break
-        cache = self._cache
-        for k in range(start, index + 1):
-            offset = k % _SAMPLE_BLOCK
-            noise = _draw_block(self.seed, k - offset, self.noise_sigma)
-            value = value + self.reversion * (self.mean - value) + float(
-                noise[offset]
-            )
-            value = min(max(value, self.floor), self.ceiling)
-            cache[k] = value
-        return cache[index]

@@ -209,14 +209,6 @@ EVALUATION_LOCATIONS: Tuple[LocationProfile, ...] = (
 )
 
 
-def location_by_name(name: str) -> LocationProfile:
-    """Look up a preset location by name across both tables."""
-    for profile in MEASUREMENT_LOCATIONS + EVALUATION_LOCATIONS:
-        if profile.name == name:
-            return profile
-    raise KeyError(f"unknown location {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Household
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.netsim.topology import Household, HouseholdConfig
 from repro.pilot.workload import HouseholdPlan, PhotoUploadEvent, VideoEvent
 from repro.traces.pictures import generate_photo_set
 from repro.util.rng import RngFactory
-from repro.util.stats import RunningStats
+from repro.util.stats import RunningStats, ordered_sum
 from repro.util.units import bytes_to_megabytes, mbps
 
 #: rwnd/RTT cap of one TCP connection to the (distant) origin server
@@ -97,13 +97,13 @@ class PilotReport:
     def mean_video_speedup(self) -> float:
         """Average speedup over every video event in the fleet."""
         values = self._all_speedups("video")
-        return sum(values) / len(values) if values else 1.0
+        return ordered_sum(values) / len(values) if values else 1.0
 
     @property
     def mean_upload_speedup(self) -> float:
         """Average speedup over every upload event in the fleet."""
         values = self._all_speedups("upload")
-        return sum(values) / len(values) if values else 1.0
+        return ordered_sum(values) / len(values) if values else 1.0
 
     @property
     def boosted_event_fraction(self) -> float:

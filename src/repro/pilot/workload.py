@@ -17,7 +17,6 @@ from repro.netsim.diurnal import WIRED_PROFILE
 from repro.netsim.topology import EVALUATION_LOCATIONS, LocationProfile
 from repro.util.rng import SeedLike, spawn_rng
 
-_SECONDS_PER_DAY = 86_400.0
 
 #: Bipbop qualities a household's player picks between.
 VIDEO_QUALITIES: Tuple[str, ...] = ("Q1", "Q2", "Q3", "Q4")
@@ -50,11 +49,6 @@ class HouseholdPlan:
     location: LocationProfile
     n_phones: int
     events: Tuple[Event, ...]
-
-    @property
-    def video_events(self) -> Tuple[VideoEvent, ...]:
-        """The plan's video sessions, time-ordered."""
-        return tuple(e for e in self.events if isinstance(e, VideoEvent))
 
     @property
     def upload_events(self) -> Tuple[PhotoUploadEvent, ...]:

@@ -14,12 +14,7 @@ from repro.traces.dslam import (
     VideoRequest,
     generate_dslam_trace,
 )
-from repro.traces.webtraffic import (
-    WebRequest,
-    WebTrafficLog,
-    generate_web_log,
-    hourly_volume_series,
-)
+from repro.traces.webtraffic import hourly_volume_series
 from repro.traces.pictures import generate_photo_set
 from repro.traces.handsets import (
     MeasurementSample,
@@ -33,9 +28,6 @@ __all__ = [
     "DslamTrace",
     "VideoRequest",
     "generate_dslam_trace",
-    "WebRequest",
-    "WebTrafficLog",
-    "generate_web_log",
     "hourly_volume_series",
     "generate_photo_set",
     "MeasurementSample",

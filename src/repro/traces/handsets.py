@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.netsim.fluid import Flow, FluidNetwork
 from repro.netsim.path import NetworkPath
 from repro.netsim.topology import Household, HouseholdConfig, LocationProfile
+from repro.util.stats import ordered_sum
 from repro.util.units import MB, transfer_rate
 
 #: Transfer size of the campaign ("download and upload 2 MB files").
@@ -39,7 +40,7 @@ class MeasurementSample:
     @property
     def aggregate_bps(self) -> float:
         """Sum of per-device throughputs — the Fig. 3 y-axis."""
-        return sum(self.per_device_bps)
+        return ordered_sum(self.per_device_bps)
 
 
 def _run_concurrent_transfers(

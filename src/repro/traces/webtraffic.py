@@ -1,123 +1,19 @@
 """Synthetic 3G web traffic (§2.2, Fig. 1; Table 1's first dataset).
 
 The paper's "3G web traffic" dataset is "HTTP traffic logs for one large
-cellular network ... for 24 hr period, Oct 2011, millions of users". Two
-views of it are provided:
-
-* :func:`hourly_volume_series` — the aggregate hourly volumes Fig. 1
-  plots, straight from the parametric diurnal profile;
-* :func:`generate_web_log` — a request-level log (user, time, content
-  category, bytes) whose aggregate reproduces the same diurnal shape,
-  for analyses that need per-request granularity.
+cellular network ... for 24 hr period, Oct 2011, millions of users".
+Fig. 1 plots its aggregate hourly volumes, which
+:func:`hourly_volume_series` derives straight from the parametric
+diurnal profile.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
 from repro.netsim.diurnal import MOBILE_PROFILE, DiurnalProfile
 from repro.util.rng import SeedLike, spawn_rng
 from repro.util.validate import check_non_negative, check_positive
-
-_SECONDS_PER_DAY = 86_400.0
-
-#: Content mix of 2011-era mobile HTTP traffic: (category, probability,
-#: lognormal median bytes, lognormal sigma). Roughly: lots of small page
-#: and API fetches, fewer but much larger media objects.
-CONTENT_MIX: Tuple[Tuple[str, float, float, float], ...] = (
-    ("page", 0.45, 40_000.0, 1.2),
-    ("image", 0.30, 90_000.0, 1.0),
-    ("api", 0.15, 4_000.0, 0.8),
-    ("media", 0.10, 1_500_000.0, 1.1),
-)
-
-
-@dataclass(frozen=True)
-class WebRequest:
-    """One HTTP request from the cellular log."""
-
-    user_id: str
-    time_s: float
-    category: str
-    size_bytes: float
-
-
-@dataclass(frozen=True)
-class WebTrafficLog:
-    """A day of mobile HTTP requests."""
-
-    requests: Tuple[WebRequest, ...]
-
-    @property
-    def total_bytes(self) -> float:
-        """Volume over the whole day."""
-        return sum(r.size_bytes for r in self.requests)
-
-    def hourly_volume_bytes(self) -> np.ndarray:
-        """Bytes per hour of day (the Fig. 1 aggregation)."""
-        volumes = np.zeros(24)
-        for request in self.requests:
-            volumes[int(request.time_s // 3600) % 24] += request.size_bytes
-        return volumes
-
-    def category_share(self, category: str) -> float:
-        """Fraction of requests in one content category."""
-        if not self.requests:
-            return 0.0
-        return sum(
-            1 for r in self.requests if r.category == category
-        ) / len(self.requests)
-
-
-def generate_web_log(
-    n_users: int = 500,
-    requests_per_user: float = 40.0,
-    seed: SeedLike = 0,
-    profile: DiurnalProfile = MOBILE_PROFILE,
-) -> WebTrafficLog:
-    """Generate a request-level mobile HTTP log.
-
-    Request counts are Poisson per user; times follow the cellular
-    diurnal profile; categories and sizes follow :data:`CONTENT_MIX`.
-    """
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
-    check_positive("requests_per_user", requests_per_user)
-    rng = spawn_rng(seed)
-    weights = np.array(profile.hourly, dtype=float)
-    weights = weights / weights.sum()
-    categories = [c for c, _, _, _ in CONTENT_MIX]
-    probabilities = np.array([p for _, p, _, _ in CONTENT_MIX])
-    probabilities = probabilities / probabilities.sum()
-    medians = {c: m for c, _, m, _ in CONTENT_MIX}
-    sigmas = {c: s for c, _, _, s in CONTENT_MIX}
-    requests: List[WebRequest] = []
-    for i in range(n_users):
-        count = int(rng.poisson(requests_per_user))
-        if count == 0:
-            continue
-        hours = rng.choice(24, size=count, p=weights)
-        times = hours * 3600.0 + rng.uniform(0.0, 3600.0, size=count)
-        picks = rng.choice(categories, size=count, p=probabilities)
-        for t, category in zip(times, picks):
-            size = float(
-                rng.lognormal(
-                    np.log(medians[category]), sigmas[category]
-                )
-            )
-            requests.append(
-                WebRequest(
-                    user_id=f"mob-{i:05d}",
-                    time_s=float(t % _SECONDS_PER_DAY),
-                    category=str(category),
-                    size_bytes=size,
-                )
-            )
-    requests.sort(key=lambda r: (r.time_s, r.user_id))
-    return WebTrafficLog(requests=tuple(requests))
 
 
 def hourly_volume_series(

@@ -25,7 +25,6 @@ from repro.util.units import (
     GB,
     kbps,
     mbps,
-    gbps,
     bits_to_bytes,
     bytes_to_bits,
     bytes_to_megabytes,
@@ -58,7 +57,6 @@ __all__ = [
     "GB",
     "kbps",
     "mbps",
-    "gbps",
     "bits_to_bytes",
     "bytes_to_bits",
     "bytes_to_megabytes",

@@ -5,11 +5,14 @@
 measurements (e.g. the 30-repetition averages of §5) without keeping the raw
 samples. :func:`ewma_update` is the exponential-smoothing step the MIN
 scheduler uses to estimate per-path bandwidth (§5.1, filter parameter 0.75).
+:func:`ordered_sum` adds floats the same way on every Python version.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Iterable, Optional
 
 from repro.util.validate import check_fraction
@@ -91,3 +94,15 @@ def ewma_update(previous: Optional[float], sample: float, alpha: float) -> float
     if previous is None:
         return float(sample)
     return alpha * float(sample) + (1.0 - alpha) * float(previous)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` strictly left to right, starting from integer 0.
+
+    This is what builtin ``sum`` does up to Python 3.11. From 3.12 it
+    compensates float additions (Neumaier), which can change the last
+    bit; payloads must be byte-identical on every interpreter, so float
+    sums whose result reaches an experiment payload use this instead.
+    """
+    total: float = functools.reduce(operator.add, values, 0)
+    return total

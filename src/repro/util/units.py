@@ -36,11 +36,6 @@ def mbps(value: float) -> float:
     return value * 1_000_000.0
 
 
-def gbps(value: float) -> float:
-    """Return ``value`` gigabits/second expressed in bits/second."""
-    return value * 1_000_000_000.0
-
-
 def megabytes(value: float) -> float:
     """Return ``value`` megabytes expressed in bytes."""
     return value * MB

@@ -25,7 +25,6 @@ from repro.web.upload import (
     decode_multipart,
     encode_multipart,
     encode_photo_upload,
-    photo_upload_requests,
 )
 from repro.web.origin import OriginServer
 from repro.web.client import SequentialHttpClient, TransferLogEntry
@@ -48,7 +47,6 @@ __all__ = [
     "decode_multipart",
     "encode_multipart",
     "encode_photo_upload",
-    "photo_upload_requests",
     "OriginServer",
     "SequentialHttpClient",
     "TransferLogEntry",

@@ -53,21 +53,6 @@ BIPBOP_QUALITIES: Tuple[VideoQuality, ...] = (
     VideoQuality("Q4", kbps(738.0)),
 )
 
-_QUALITY_BY_NAME: Dict[str, VideoQuality] = {
-    q.name: q for q in BIPBOP_QUALITIES
-}
-
-
-def quality_by_name(name: str) -> VideoQuality:
-    """Look up one of the bipbop qualities by name (Q1..Q4)."""
-    try:
-        return _QUALITY_BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown quality {name!r}; expected one of "
-            f"{sorted(_QUALITY_BY_NAME)}"
-        ) from None
-
 
 @dataclass(frozen=True)
 class MediaSegment:
@@ -188,11 +173,6 @@ class VideoAsset:
             raise KeyError(
                 f"video {self.name!r} has no quality {quality_name!r}"
             ) from None
-
-    @property
-    def master_uri(self) -> str:
-        """URI of the master playlist listing all renditions."""
-        return f"/{self.name}/master.m3u8"
 
 
 def make_bipbop_video(

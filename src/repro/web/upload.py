@@ -65,17 +65,6 @@ class MultipartUpload:
         )
 
 
-def photo_upload_requests(
-    photos: Sequence[Photo], upload_url: str = "/upload"
-) -> List[HttpRequest]:
-    """Build one multipart POST per photo (the native-client behaviour)."""
-    if not photos:
-        raise ValueError("need at least one photo")
-    return [
-        MultipartUpload(photo).to_request(upload_url) for photo in photos
-    ]
-
-
 # ---------------------------------------------------------------------------
 # multipart/form-data wire format (subset)
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ecdf, violin summaries, speedup helpers."""
+"""Ecdf, violin summaries, the reduction helper."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.stats import (
     Ecdf,
     reduction_percent,
-    speedup,
     summarize_violin,
 )
 
@@ -73,16 +72,9 @@ class TestViolin:
 
 
 class TestSpeedupHelpers:
-    def test_speedup(self):
-        assert speedup(41.0, 11.0) == pytest.approx(3.727, rel=1e-3)
-
     def test_reduction_percent(self):
         assert reduction_percent(100.0, 28.0) == pytest.approx(72.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
-        with pytest.raises(ValueError):
-            speedup(1.0, 0.0)
         with pytest.raises(ValueError):
             reduction_percent(0.0, 1.0)

@@ -56,7 +56,7 @@ class TestRegistry:
     def test_rules_registered_in_order(self):
         assert [r.code for r in all_rules()] == [
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009", "RL010", "RL011", "RL012", "RL013",
+            "RL008", "RL009", "RL010", "RL011", "RL012", "RL013", "RL014",
         ]
 
     def test_every_rule_has_title_and_rationale(self):

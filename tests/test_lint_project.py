@@ -1,4 +1,4 @@
-"""Project-level lint: the graph builder and the RL008-RL011, RL013 rules.
+"""Project-level lint: the graph builder and rules RL008-RL011, RL013-RL014.
 
 The graph machinery (symbol table, call graph) is tested directly on
 hand-built :class:`ModuleInfo` sets; each cross-module rule gets a
@@ -630,3 +630,159 @@ class TestImportLayeringRule:
         run = run_rule("RL013", {"src/repro/gadgets/widget.py": "X = 1\n"})
         assert codes_of(run) == ["RL013"]
         assert "LAYER_TIERS" in run.findings[0].message
+
+
+class TestUnusedSymbolRule:
+    #: The package root: RL014 judges only runs that include it.
+    ROOT = {"src/repro/__init__.py": ""}
+
+    def run14(self, files, **kwargs):
+        dedented = {
+            path: textwrap.dedent(src)
+            for path, src in {**self.ROOT, **files}.items()
+        }
+        return lint_sources(
+            dedented, rules=select_rules(select=["RL014"]), **kwargs
+        )
+
+    def test_unreferenced_function_flagged(self):
+        run = self.run14({
+            "src/repro/core/helpers.py": """
+                def orphan():
+                    return 1
+                """,
+        })
+        assert codes_of(run) == ["RL014"]
+        assert "'orphan'" in run.findings[0].message
+        assert run.findings[0].line == 2
+
+    def test_function_called_from_sibling_module_is_clean(self):
+        run = self.run14({
+            "src/repro/core/helpers.py": """
+                def helper():
+                    return 1
+                """,
+            "src/repro/core/session.py": """
+                from repro.core.helpers import helper
+
+                def _start():
+                    return helper()
+                """,
+        })
+        assert codes_of(run) == []
+
+    def test_registering_decorators_are_uses(self):
+        run = self.run14({
+            "src/repro/experiments/registry.py": """
+                def experiment(**spec):
+                    return lambda fn: fn
+                """,
+            "src/repro/experiments/fig99.py": """
+                from repro.experiments.registry import experiment
+
+                @experiment(id="fig99")
+                def run():
+                    return 1
+                """,
+            "src/repro/lint/core.py": """
+                def rule(cls):
+                    return cls
+                """,
+            "src/repro/lint/rules.py": """
+                from repro.lint.core import rule
+
+                @rule
+                class PlantedRule:
+                    code = "RL999"
+                """,
+        })
+        assert codes_of(run) == []
+
+    def test_entry_point_main_is_a_use(self):
+        # ``main`` of a module clidocs.ENTRY_POINTS lists is called by
+        # the console script, from outside the tree; another module's
+        # ``main`` has no such caller.
+        run = self.run14({
+            "src/repro/clidocs.py": """
+                ENTRY_POINTS = (("repro-tool", "repro.tool"),)
+                """,
+            "src/repro/tool.py": """
+                def main():
+                    return 0
+                """,
+            "src/repro/other.py": """
+                def main():
+                    return 0
+                """,
+        })
+        assert codes_of(run) == ["RL014"]
+        assert run.findings[0].path.endswith("other.py")
+
+    def test_package_reexport_is_not_a_use(self):
+        run = self.run14({
+            "src/repro/core/__init__.py": """
+                from repro.core.helpers import orphan
+
+                __all__ = ["orphan"]
+                """,
+            "src/repro/core/helpers.py": """
+                def orphan():
+                    return 1
+                """,
+        })
+        assert codes_of(run) == ["RL014"]
+        assert run.findings[0].path.endswith("helpers.py")
+
+    def test_lazy_import_table_is_a_use(self):
+        run = self.run14({
+            "src/repro/proto/__init__.py": """
+                import importlib
+
+                _LAZY = {"Origin": "repro.proto.origin"}
+
+                def __getattr__(name):
+                    module = importlib.import_module(_LAZY[name])
+                    return getattr(module, name)
+                """,
+            "src/repro/proto/origin.py": """
+                class Origin:
+                    pass
+                """,
+        })
+        assert codes_of(run) == []
+
+    def test_partial_tree_is_not_judged(self):
+        # Without repro/__init__.py the run cannot see every user, so
+        # RL014 reports nothing, and its suppressions are not audited.
+        files = {
+            "src/repro/core/helpers.py": textwrap.dedent("""
+                def kept():  # repro-lint: disable=RL014  # b: test seam
+                    return 1
+
+                def orphan():
+                    return 2
+                """),
+        }
+        run = lint_sources(
+            files,
+            rules=select_rules(select=["RL014"]),
+            warn_unused_suppressions=True,
+        )
+        assert run.findings == []
+
+    def test_dead_suppression_audited_on_a_whole_tree(self):
+        # Inverse control: once the run is judged, a suppression on a
+        # symbol that has a user is dead (RL099).
+        run = self.run14(
+            {
+                "src/repro/core/helpers.py": """
+                    def used():  # repro-lint: disable=RL014  # b: seam
+                        return 1
+
+                    def _caller():
+                        return used()
+                    """,
+            },
+            warn_unused_suppressions=True,
+        )
+        assert codes_of(run) == ["RL099"]

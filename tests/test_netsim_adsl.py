@@ -1,33 +1,9 @@
-"""ADSL line and DSLAM models."""
+"""ADSL line model."""
 
 import pytest
 
-from repro.netsim.adsl import (
-    AdslLine,
-    DEFAULT_ASYMMETRY,
-    Dslam,
-    sync_rate_for_distance,
-)
+from repro.netsim.adsl import AdslLine
 from repro.util.units import mbps
-
-
-class TestSyncRate:
-    def test_monotone_decreasing(self):
-        rates = [sync_rate_for_distance(d) for d in (0, 500, 1500, 3000, 5000)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_full_rate_near_exchange(self):
-        assert sync_rate_for_distance(0.0) == pytest.approx(mbps(24.0))
-
-    def test_half_rate_at_half_distance(self):
-        assert sync_rate_for_distance(2200.0) == pytest.approx(mbps(12.0))
-
-    def test_dead_beyond_reach(self):
-        assert sync_rate_for_distance(6000.0) == 0.0
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            sync_rate_for_distance(-1.0)
 
 
 class TestAdslLine:
@@ -56,26 +32,3 @@ class TestAdslLine:
             AdslLine(down_bps=1.0, up_bps=0.5, goodput_efficiency=0.0)
         with pytest.raises(ValueError):
             AdslLine(down_bps=1.0, up_bps=0.5, goodput_efficiency=1.5)
-
-    def test_from_distance_uses_asymmetry(self):
-        line = AdslLine.from_distance(1000.0)
-        assert line.up_bps == pytest.approx(line.down_bps * DEFAULT_ASYMMETRY)
-
-    def test_from_distance_beyond_reach_rejected(self):
-        with pytest.raises(ValueError, match="sync"):
-            AdslLine.from_distance(6500.0)
-
-
-class TestDslam:
-    def test_oversubscription_ratio(self):
-        dslam = Dslam(subscriber_count=875, backhaul_bps=mbps(1000))
-        ratio = dslam.oversubscription_ratio(mbps(6.7))
-        assert ratio == pytest.approx(875 * 6.7 / 1000.0)
-
-    def test_backhaul_link(self):
-        dslam = Dslam(subscriber_count=10, backhaul_bps=mbps(100))
-        assert dslam.backhaul_link().capacity_at(0.0) == mbps(100)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Dslam(subscriber_count=0, backhaul_bps=1.0)

@@ -13,7 +13,6 @@ from repro.netsim.faults import (
     PathFlapProcess,
     RadioDropProcess,
     WifiDepartureProcess,
-    downtime_fraction,
 )
 from repro.netsim.fluid import FluidNetwork
 
@@ -129,19 +128,6 @@ class TestSchedule:
         network.run(until=300)
         assert armed == expected
         assert seen == expected
-
-    def test_downtime_fraction(self):
-        outages = [Outage(0.0, 25.0, "p", KIND_FLAP)]
-        assert downtime_fraction(outages, 0, 100, "p") == pytest.approx(0.25)
-        assert downtime_fraction(outages, 0, 100, "q") == 0.0
-
-    def test_downtime_fraction_empty_window_is_zero(self):
-        # A window with no extent contains no downtime — total function,
-        # not an error, so degenerate generated horizons stay defined.
-        outages = [Outage(0.0, 25.0, "p", KIND_FLAP)]
-        assert downtime_fraction(outages, 100, 100, "p") == 0.0
-        assert downtime_fraction(outages, 100, 50, "p") == 0.0
-        assert downtime_fraction([], 5, 5, "p") == 0.0
 
     def test_merge_drops_zero_duration_and_joins_adjacent(self):
         from repro.netsim.faults import _merge_outages

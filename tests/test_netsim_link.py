@@ -8,7 +8,6 @@ from repro.netsim.link import (
     Link,
     PiecewiseLink,
     StochasticLink,
-    effective_chain_capacity,
     validate_chain,
 )
 from repro.netsim.stochastic import ConstantProcess, LognormalProcess
@@ -101,13 +100,7 @@ class TestStochasticLink:
 
 
 class TestChainHelpers:
-    def test_effective_chain_capacity_is_min(self):
-        chain = [Link("a", 5.0), Link("b", 3.0), Link("c", 9.0)]
-        assert effective_chain_capacity(chain, 0.0) == 3.0
-
     def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            effective_chain_capacity([], 0.0)
         with pytest.raises(ValueError):
             validate_chain([])
 

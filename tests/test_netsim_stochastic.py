@@ -9,7 +9,6 @@ from repro.netsim import stochastic
 from repro.netsim.stochastic import (
     ConstantProcess,
     LognormalProcess,
-    MeanRevertingProcess,
     reset_draw_memo,
 )
 
@@ -85,32 +84,6 @@ class TestLognormalProcess:
             LognormalProcess(seed=1, interval=1.0, sigma=0.1, floor=2.0, ceiling=1.0)
 
 
-class TestMeanRevertingProcess:
-    def test_deterministic_across_instances(self):
-        a = MeanRevertingProcess(seed=9, interval=2.0)
-        b = MeanRevertingProcess(seed=9, interval=2.0)
-        assert a.factor_for_interval(37) == b.factor_for_interval(37)
-
-    def test_order_independent(self):
-        a = MeanRevertingProcess(seed=9, interval=2.0)
-        v50 = a.factor_for_interval(50)
-        b = MeanRevertingProcess(seed=9, interval=2.0)
-        b.factor_for_interval(10)
-        assert b.factor_for_interval(50) == v50
-
-    def test_reverts_to_mean(self):
-        process = MeanRevertingProcess(
-            seed=4, interval=1.0, mean=1.0, reversion=0.5, noise_sigma=0.05
-        )
-        factors = [process.factor_for_interval(i) for i in range(1000)]
-        mean = sum(factors) / len(factors)
-        assert 0.9 < mean < 1.1
-
-    def test_negative_index_clamps(self):
-        process = MeanRevertingProcess(seed=4, interval=1.0)
-        assert process.factor_for_interval(-3) == process.factor_for_interval(0)
-
-
 class TestDrawMemo:
     def test_second_lognormal_instance_builds_no_generators(self, generators):
         first = LognormalProcess(seed=11, interval=1.0, sigma=0.3)
@@ -119,16 +92,6 @@ class TestDrawMemo:
         second = LognormalProcess(seed=11, interval=1.0, sigma=0.3)
         assert [second.factor_for_interval(k) for k in range(20)] == values
         assert len(generators) == 24
-
-    def test_second_mean_reverting_instance_builds_no_generators(
-        self, generators
-    ):
-        first = MeanRevertingProcess(seed=11, interval=1.0)
-        value = first.factor_for_interval(20)
-        built = len(generators)
-        second = MeanRevertingProcess(seed=11, interval=1.0)
-        assert second.factor_for_interval(20) == value
-        assert len(generators) == built
 
     def test_reset_restarts_the_count(self, generators):
         LognormalProcess(seed=11, interval=1.0, sigma=0.3).factor_at(5.0)
@@ -160,31 +123,3 @@ class TestDrawMemo:
         for k in (37, 3, 0, 8, 15, 16, 63):
             expected = np.clip(np.exp(_draw(21, k, sigma)), floor, ceiling)
             assert process.factor_for_interval(k) == expected
-
-    def test_mean_reverting_matches_oracle_across_anchors(self):
-        mean, reversion, sigma, floor, ceiling = 1.0, 0.3, 0.2, 0.4, 1.6
-        anchor_every = 12
-        process = MeanRevertingProcess(
-            seed=21,
-            interval=1.0,
-            mean=mean,
-            reversion=reversion,
-            noise_sigma=sigma,
-            floor=floor,
-            ceiling=ceiling,
-            anchor_every=anchor_every,
-        )
-        expected = []
-        value = mean
-        for k in range(40):
-            if k % anchor_every == 0:
-                value = mean
-            value = value + reversion * (mean - value) + float(
-                _draw(21, k, sigma)
-            )
-            value = min(max(value, floor), ceiling)
-            expected.append(value)
-        # Out of order: mid-span first, then across every anchor boundary.
-        for k in (30, 5, 11, 12, 13, 23, 24, 39, 0):
-            assert process.factor_for_interval(k) == expected[k]
-        assert [process.factor_for_interval(k) for k in range(40)] == expected

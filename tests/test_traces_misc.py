@@ -98,50 +98,3 @@ class TestHandsetCampaign:
             measure_cluster_throughput(
                 MEASUREMENT_LOCATIONS[0], 1, direction="sideways"
             )
-
-
-class TestWebLog:
-    @pytest.fixture(scope="class")
-    def log(self):
-        from repro.traces.webtraffic import generate_web_log
-
-        return generate_web_log(n_users=300, seed=2)
-
-    def test_requests_time_ordered_within_day(self, log):
-        times = [r.time_s for r in log.requests]
-        assert times == sorted(times)
-        assert all(0.0 <= t < 86_400.0 for t in times)
-
-    def test_diurnal_shape(self, log):
-        volumes = log.hourly_volume_bytes()
-        peak = int(np.argmax(volumes))
-        assert 14 <= peak <= 20  # the mobile daytime/evening peak
-        assert volumes.max() > 3 * volumes.min()
-
-    def test_content_mix_respected(self, log):
-        from repro.traces.webtraffic import CONTENT_MIX
-
-        for category, probability, _, _ in CONTENT_MIX:
-            share = log.category_share(category)
-            assert abs(share - probability) < 0.05
-
-    def test_media_dominates_volume(self, log):
-        media = sum(
-            r.size_bytes for r in log.requests if r.category == "media"
-        )
-        assert media > 0.5 * log.total_bytes
-
-    def test_deterministic(self):
-        from repro.traces.webtraffic import generate_web_log
-
-        a = generate_web_log(n_users=50, seed=9)
-        b = generate_web_log(n_users=50, seed=9)
-        assert a.requests[:10] == b.requests[:10]
-
-    def test_validation(self):
-        from repro.traces.webtraffic import generate_web_log
-
-        with pytest.raises(ValueError):
-            generate_web_log(n_users=0)
-        with pytest.raises(ValueError):
-            generate_web_log(requests_per_user=0.0)

@@ -20,14 +20,11 @@ class TestRates:
     def test_mbps(self):
         assert units.mbps(6.7) == pytest.approx(6_700_000.0)
 
-    def test_gbps(self):
-        assert units.gbps(1.0) == 1e9
-
     def test_rate_to_mbps_round_trip(self):
         assert units.rate_to_mbps(units.mbps(3.44)) == pytest.approx(3.44)
 
     def test_rate_to_gbps_round_trip(self):
-        assert units.rate_to_gbps(units.gbps(5.863)) == pytest.approx(5.863)
+        assert units.rate_to_gbps(5.863e9) == pytest.approx(5.863)
 
     def test_rate_to_mbps_is_division_by_1e6(self):
         # Pre-refactor call sites spelled `bps / 1e6`; the helper must be

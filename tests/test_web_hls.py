@@ -10,7 +10,6 @@ from repro.web.hls import (
     VideoQuality,
     make_bipbop_video,
     parse_m3u8,
-    quality_by_name,
     render_m3u8,
 )
 from repro.util.units import kbps
@@ -22,13 +21,9 @@ class TestQualities:
         assert rates == [kbps(200), kbps(311), kbps(484), kbps(738)]
 
     def test_segment_bytes(self):
-        q1 = quality_by_name("Q1")
+        q1 = BIPBOP_QUALITIES[0]
         # 10 s at 200 kbps = 250 kB.
         assert q1.segment_bytes(10.0) == pytest.approx(250_000.0)
-
-    def test_unknown_quality(self):
-        with pytest.raises(KeyError):
-            quality_by_name("Q9")
 
 
 class TestVideoAsset:
@@ -108,7 +103,7 @@ class TestM3u8RoundTrip:
         text = "#EXTM3U\n#EXTINF:10.0,\n/seg0.ts\n#EXT-X-ENDLIST\n"
         with pytest.raises(ValueError, match="quality"):
             parse_m3u8(text)
-        parsed = parse_m3u8(text, quality=quality_by_name("Q1"))
+        parsed = parse_m3u8(text, quality=BIPBOP_QUALITIES[0])
         assert parsed.segments[0].size_bytes == pytest.approx(250_000.0)
 
     def test_parse_rejects_non_playlist(self):
@@ -122,7 +117,7 @@ class TestM3u8RoundTrip:
 
 class TestPlaylistValidation:
     def test_indices_must_be_contiguous(self):
-        q = quality_by_name("Q1")
+        q = BIPBOP_QUALITIES[0]
         segments = [
             MediaSegment(0, "/a", 10.0, 1.0),
             MediaSegment(2, "/b", 10.0, 1.0),
@@ -132,4 +127,4 @@ class TestPlaylistValidation:
 
     def test_empty_playlist_rejected(self):
         with pytest.raises(ValueError):
-            HlsPlaylist("v", quality_by_name("Q1"), [])
+            HlsPlaylist("v", BIPBOP_QUALITIES[0], [])

@@ -6,7 +6,6 @@ from repro.web.upload import (
     MULTIPART_PART_OVERHEAD_BYTES,
     MultipartUpload,
     Photo,
-    photo_upload_requests,
 )
 
 
@@ -29,15 +28,3 @@ class TestMultipartUpload:
         assert request.is_upload
         assert "multipart/form-data" in request.headers.get("Content-Type")
         assert request.headers.get("Content-Length") == "1200"
-
-
-class TestPhotoUploadRequests:
-    def test_one_post_per_photo(self):
-        photos = [Photo(f"{i}.jpg", 1000.0 * (i + 1)) for i in range(3)]
-        requests = photo_upload_requests(photos)
-        assert len(requests) == 3
-        assert all(r.method == "POST" for r in requests)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            photo_upload_requests([])
